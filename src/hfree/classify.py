@@ -47,8 +47,11 @@ from .problems import (
     BaseProblem,
     ContractViolationError,
     ModificationKind,
-    ReductionStep,
+    class_edge,
+    recognize_sparse_lh,
+    sparse_case,
 )
+from .reductions import ReductionStep
 
 REASON_AT_MOST_TWO_VERTICES = "at-most-two-vertices"
 REASON_AT_MOST_ONE_EDGE = "at-most-one-edge"
@@ -166,56 +169,6 @@ def deletion_churn(h: Graph) -> tuple[Graph, list[ChurnStep]]:
 
 
 # ---------------------------------------------------------------------------
-# sparse two-degree recognition
-
-@dataclass(frozen=True)
-class SparseLH:
-    """A graph whose degrees take exactly two values high > low, where each
-    degree class induces at most one edge."""
-
-    low: int
-    high: int
-    v_low: frozenset[int]
-    v_high: frozenset[int]
-    edges_in_low: int
-    edges_in_high: int
-
-
-def recognize_sparse_lh(h: Graph) -> SparseLH | None:
-    """Recognize the sparse two-degree shape; None when it does not apply
-    (including regular graphs, which have a single degree value)."""
-    if h.n == 0:
-        return None
-    values = sorted(set(h.degrees))
-    if len(values) != 2:
-        return None
-    low, high = values
-    v_low = frozenset(v for v in h.vertices if h.degree(v) == low)
-    v_high = frozenset(v for v in h.vertices if h.degree(v) == high)
-    low_g, _ = induced_subgraph(h, v_low)
-    high_g, _ = induced_subgraph(h, v_high)
-    if low_g.m > 1 or high_g.m > 1:
-        return None
-    return SparseLH(low, high, v_low, v_high, low_g.m, high_g.m)
-
-
-def sparse_case(shape: SparseLH) -> int:
-    """Case split on (edges inside the high class, edges inside the low
-    class): (0,0) -> 1, (1,0) -> 2, (0,1) -> 3, (1,1) -> 4."""
-    table = {(0, 0): 1, (1, 0): 2, (0, 1): 3, (1, 1): 4}
-    return table[(shape.edges_in_high, shape.edges_in_low)]
-
-
-def _sparse_unique_edge(h: Graph, cls: frozenset[int]) -> tuple[int, int]:
-    inside = sorted(e for e in h.edges if e[0] in cls and e[1] in cls)
-    if len(inside) != 1:
-        raise ContractViolationError(
-            f"expected exactly one within-class edge, found {len(inside)}"
-        )
-    return inside[0]
-
-
-# ---------------------------------------------------------------------------
 # chains
 
 @dataclass(frozen=True)
@@ -322,7 +275,7 @@ def _deletion_chain(h: Graph) -> tuple[list[ReductionStep], BaseProblem]:
             return steps, BaseProblem(BASE_SPARSE_CASE1_DELETION, cur)
         if case in (3, 4):
             # strip the unique adjacent low-degree pair and keep going
-            u, v = _sparse_unique_edge(cur, shape.v_low)
+            u, v = class_edge(cur, shape.v_low)
             rest = [w for w in cur.vertices if w not in (u, v)]
             nxt, _ = induced_subgraph(cur, rest)
             if nxt.m < 2 or nxt.n >= cur.n:
@@ -358,7 +311,7 @@ def _deletion_chain(h: Graph) -> tuple[list[ReductionStep], BaseProblem]:
                 cur = t_diamond(t - 1)
                 t -= 1
             return steps, BaseProblem(BASE_DIAMOND_DELETION, cur)
-        u, v = _sparse_unique_edge(cur, shape.v_high)
+        u, v = class_edge(cur, shape.v_high)
         v_prime = sorted(shape.v_low | {u, v})
         nxt, _ = induced_subgraph(cur, v_prime)
         if nxt.m < 2 or nxt.n >= cur.n:

@@ -23,15 +23,7 @@ from .problems import (
     instance_from_obj,
     kind_from_str,
 )
-from .reductions import (
-    reduce_degree_max,
-    complement_reduce,
-    reduce_degree,
-    reduce_sparse_case1,
-    reduce_sparse_vh,
-    reduce_sparse_vl,
-    reduce_tdiamond,
-)
+from .reductions import STEPS
 from .solve import BruteForceCapExceeded, solve_instance
 from .verify import SUITE_NAMES, run_suites
 
@@ -83,41 +75,23 @@ def cmd_churn(args: argparse.Namespace) -> int:
     return 0
 
 
+# step param -> the reduce flag that carries it
+_PARAM_FLAGS = {"d": "--degree", "t": "--t"}
+
+
 def cmd_reduce(args: argparse.Namespace) -> int:
     inst = _load_instance(args.input)
-
-    def pattern() -> Graph:
+    spec = STEPS[args.step]
+    params = {"d": args.degree, "variant": args.variant, "t": args.t}
+    for name in spec.params:
+        if params[name] is None:
+            raise ValueError(f"{args.step} needs {_PARAM_FLAGS[name]}")
+    h = None
+    if spec.pattern:
         if args.pattern is None:
             raise ValueError(f"step {args.step} needs --pattern")
-        return _load_graph(args.pattern)
-
-    if args.step == "complement-problem":
-        out, step = complement_reduce(inst)
-    elif args.step == "degree-reduce":
-        if args.degree is None:
-            raise ValueError("degree-reduce needs --degree")
-        if args.variant == "max":
-            out, step = reduce_degree_max(inst, pattern(), args.degree)
-        else:
-            out, step = reduce_degree(inst, pattern(), args.degree)
-    elif args.step == "tdiamond-induction":
-        if args.t is None:
-            raise ValueError("tdiamond-induction needs --t")
-        out, step = reduce_tdiamond(inst, args.t)
-    elif args.step == "sparse-vl-strip":
-        out, step = reduce_sparse_vl(inst, pattern())
-    elif args.step == "sparse-vh-route":
-        out, step = reduce_sparse_vh(inst, pattern())
-    else:  # sparse-case1
-        from .graphs import are_isomorphic
-
-        h = pattern()
-        out, step = reduce_sparse_case1(inst.g, inst.k, h)
-        if inst.kind is not out.kind or not are_isomorphic(inst.h, step.source_h):
-            raise ValueError(
-                "sparse-case1 input must be a deletion instance of the "
-                "pattern's high-centered 3-path"
-            )
+        h = _load_graph(args.pattern)
+    out, step = spec.lift(inst, h, params)
     _emit({"instance": out.to_obj(), "step": step.to_obj()}, args.out)
     return 0
 
@@ -171,14 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--step",
         required=True,
-        choices=[
-            "complement-problem",
-            "degree-reduce",
-            "tdiamond-induction",
-            "sparse-vl-strip",
-            "sparse-vh-route",
-            "sparse-case1",
-        ],
+        choices=[name for name, spec in STEPS.items() if spec.cli],
     )
     p.add_argument("--pattern", help="target pattern graph file")
     p.add_argument("--degree", type=int, help="degree threshold for degree-reduce")

@@ -57,6 +57,26 @@ class Graph:
         return tuple(frozenset(s) for s in nbrs)
 
     @cached_property
+    def search_order(self) -> tuple[int, ...]:
+        """Static vertex order for embedding this graph as a pattern: most
+        constrained first, preferring vertices with many already placed
+        neighbors, then higher degree, then lower id."""
+        order: list[int] = []
+        placed: set[int] = set()
+        while len(order) < self.n:
+            best_key = None
+            best_v = -1
+            for v in self.vertices:
+                if v in placed:
+                    continue
+                key = (sum(1 for u in self.adj[v] if u in placed), self.degree(v), -v)
+                if best_key is None or key > best_key:
+                    best_key, best_v = key, v
+            order.append(best_v)
+            placed.add(best_v)
+        return tuple(order)
+
+    @cached_property
     def adj_sorted(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(sorted(s)) for s in self.adj)
 
@@ -318,25 +338,6 @@ class Embedding:
         return dict(enumerate(self.mapping))
 
 
-def _search_order(pattern: Graph) -> list[int]:
-    # Most-constrained-first static order: prefer vertices with many already
-    # placed neighbors, then higher degree, then lower id.
-    order: list[int] = []
-    placed: set[int] = set()
-    while len(order) < pattern.n:
-        best_key = None
-        best_v = -1
-        for v in pattern.vertices:
-            if v in placed:
-                continue
-            key = (sum(1 for u in pattern.adj[v] if u in placed), pattern.degree(v), -v)
-            if best_key is None or key > best_key:
-                best_key, best_v = key, v
-        order.append(best_v)
-        placed.add(best_v)
-    return order
-
-
 def induced_embeddings(
     host: Graph, pattern: Graph, forced: dict[int, int] | None = None
 ) -> Iterator[dict[int, int]]:
@@ -352,7 +353,7 @@ def induced_embeddings(
         return
     if pattern.n > host.n:
         return
-    order = _search_order(pattern)
+    order = pattern.search_order
     # per position: pairs (earlier position, adjacent-in-pattern flag)
     constraints: list[list[tuple[int, bool]]] = []
     for i, v in enumerate(order):

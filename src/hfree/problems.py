@@ -1,13 +1,15 @@
-"""Shared problem types: modification kinds, instances, reduction steps,
-and the anchor problems that terminate hardness chains."""
+"""Shared problem types: modification kinds, instances, the step names, the
+sparse two-degree pattern shape, and the anchor problems that terminate
+hardness chains."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .formats import graph_from_obj, graph_to_obj
 from .graphs import (
+    Edge,
     Graph,
     are_isomorphic,
     connected_components,
@@ -100,33 +102,74 @@ def instance_from_obj(obj: Any) -> Instance:
 
 
 # ---------------------------------------------------------------------------
+# sparse two-degree recognition
+
+@dataclass(frozen=True)
+class SparseLH:
+    """A graph whose degrees take exactly two values high > low, where each
+    degree class induces at most one edge."""
+
+    low: int
+    high: int
+    v_low: frozenset[int]
+    v_high: frozenset[int]
+    edges_in_low: int
+    edges_in_high: int
+
+
+def recognize_sparse_lh(h: Graph) -> SparseLH | None:
+    """Recognize the sparse two-degree shape; None when it does not apply
+    (including regular graphs, which have a single degree value)."""
+    if h.n == 0:
+        return None
+    values = sorted(set(h.degrees))
+    if len(values) != 2:
+        return None
+    low, high = values
+    v_low = frozenset(v for v in h.vertices if h.degree(v) == low)
+    v_high = frozenset(v for v in h.vertices if h.degree(v) == high)
+    low_g, _ = induced_subgraph(h, v_low)
+    high_g, _ = induced_subgraph(h, v_high)
+    if low_g.m > 1 or high_g.m > 1:
+        return None
+    return SparseLH(low, high, v_low, v_high, low_g.m, high_g.m)
+
+
+def sparse_case(shape: SparseLH) -> int:
+    """Case split on (edges inside the high class, edges inside the low
+    class): (0,0) -> 1, (1,0) -> 2, (0,1) -> 3, (1,1) -> 4."""
+    table = {(0, 0): 1, (1, 0): 2, (0, 1): 3, (1, 1): 4}
+    return table[(shape.edges_in_high, shape.edges_in_low)]
+
+
+def class_edge(h: Graph, cls: frozenset[int]) -> Edge:
+    """The edge inside a degree class of a sparse shape; callers check
+    first that the class holds exactly one."""
+    return min(e for e in h.edges if e[0] in cls and e[1] in cls)
+
+
+# ---------------------------------------------------------------------------
 # anchor problems
 
 BASE_P3_EDITING = "p3-editing"
 BASE_P4_EDITING = "p4-editing"
 BASE_DIAMOND_EDITING = "diamond-editing"
-BASE_CYCLE_EDITING = "cycle-editing"
-BASE_2K2_EDITING = "2k2-editing"
 BASE_REGULAR_EDITING = "regular-editing"
 BASE_P3_DELETION = "p3-deletion"
 BASE_DIAMOND_DELETION = "diamond-deletion"
 BASE_TREE_OR_REGULAR_DELETION = "tree-or-regular-deletion"
-BASE_TDIAMOND_DELETION = "tdiamond-deletion"
 BASE_SPARSE_CASE1_DELETION = "sparse-case1-deletion"
 
 _EDITING_BASES = {
     BASE_P3_EDITING,
     BASE_P4_EDITING,
     BASE_DIAMOND_EDITING,
-    BASE_CYCLE_EDITING,
-    BASE_2K2_EDITING,
     BASE_REGULAR_EDITING,
 }
 _DELETION_BASES = {
     BASE_P3_DELETION,
     BASE_DIAMOND_DELETION,
     BASE_TREE_OR_REGULAR_DELETION,
-    BASE_TDIAMOND_DELETION,
     BASE_SPARSE_CASE1_DELETION,
 }
 
@@ -135,12 +178,10 @@ _DELETION_BASES = {
 class BaseProblem:
     """A problem whose hardness is taken as known; chains end here.
 
-    `graph` is the concrete pattern the chain bottomed out at; `param`
-    carries the family parameter where one exists (cycle length, t)."""
+    `graph` is the concrete pattern the chain bottomed out at."""
 
     name: str
     graph: Graph
-    param: int | None = None
 
     @property
     def kind(self) -> ModificationKind:
@@ -160,21 +201,11 @@ class BaseProblem:
             ok = are_isomorphic(g, path(4))
         elif name in (BASE_DIAMOND_EDITING, BASE_DIAMOND_DELETION):
             ok = are_isomorphic(g, t_diamond(2))
-        elif name == BASE_CYCLE_EDITING:
-            from .graphs import cycle
-
-            ok = self.param is not None and self.param >= 3 and are_isomorphic(g, cycle(self.param))
-        elif name == BASE_2K2_EDITING:
-            ok = g.n == 4 and g.m == 2 and set(g.degrees) == {1}
         elif name == BASE_REGULAR_EDITING:
             ok = is_regular(g) and g.m >= 2
         elif name == BASE_TREE_OR_REGULAR_DELETION:
             ok = g.m >= 2 and _largest_component_regular_or_tree(g)
-        elif name == BASE_TDIAMOND_DELETION:
-            ok = self.param is not None and self.param >= 2 and are_isomorphic(g, t_diamond(self.param))
         elif name == BASE_SPARSE_CASE1_DELETION:
-            from .classify import recognize_sparse_lh, sparse_case
-
             shape = recognize_sparse_lh(g)
             ok = shape is not None and shape.low >= 2 and sparse_case(shape) == 1
         else:
@@ -185,10 +216,7 @@ class BaseProblem:
             )
 
     def to_obj(self) -> dict[str, Any]:
-        obj: dict[str, Any] = {"name": self.name, "graph": graph_to_obj(self.graph)}
-        if self.param is not None:
-            obj["param"] = self.param
-        return obj
+        return {"name": self.name, "graph": graph_to_obj(self.graph)}
 
 
 def _largest_component_regular_or_tree(g: Graph) -> bool:
@@ -204,7 +232,7 @@ def _largest_component_regular_or_tree(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# reduction steps
+# reduction step names; hfree.reductions.STEPS says how to replay each
 
 STEP_COMPLEMENT = "complement-problem"
 STEP_DEGREE = "degree-reduce"
@@ -214,79 +242,3 @@ STEP_SPARSE_VH = "sparse-vh-route"
 STEP_SPARSE_CASE1 = "sparse-case1"
 STEP_CONSTRUCT_NONADJ = "construct-nonadj"
 STEP_CONSTRUCT_ADJ = "construct-adj"
-
-STEP_KINDS = {
-    STEP_COMPLEMENT,
-    STEP_DEGREE,
-    STEP_TDIAMOND,
-    STEP_SPARSE_VL,
-    STEP_SPARSE_VH,
-    STEP_SPARSE_CASE1,
-    STEP_CONSTRUCT_NONADJ,
-    STEP_CONSTRUCT_ADJ,
-}
-
-
-@dataclass(frozen=True)
-class StepExecution:
-    """Record of one concrete application of a step."""
-
-    input_summary: dict[str, Any]
-    output_summary: dict[str, Any]
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ReductionStep:
-    """One hop in a hardness chain.
-
-    The step turns any instance of the source problem (pattern `source_h`,
-    kind `source_kind`) into an equivalent instance of the target problem,
-    keeping the budget k unchanged.  `params` holds whatever the transform
-    needs to be replayed mechanically; `execution` is filled in when the
-    step is actually applied to an instance.
-    """
-
-    step: str
-    params: dict[str, Any]
-    source_h: Graph
-    source_kind: ModificationKind
-    target_h: Graph
-    target_kind: ModificationKind
-    execution: StepExecution | None = None
-
-    def __post_init__(self) -> None:
-        if self.step not in STEP_KINDS:
-            raise ValueError(f"unknown reduction step kind {self.step!r}")
-
-    def to_obj(self, *, include_endpoints: bool = True) -> dict[str, Any]:
-        obj: dict[str, Any] = {
-            "step": self.step,
-            "params": dict(self.params),
-            "graph_after": graph_to_obj(self.source_h),
-        }
-        if include_endpoints:
-            obj["source"] = {"h": graph_to_obj(self.source_h), "kind": self.source_kind.value}
-            obj["target"] = {"h": graph_to_obj(self.target_h), "kind": self.target_kind.value}
-        if self.execution is not None:
-            obj["execution"] = {
-                "input": dict(self.execution.input_summary),
-                "output": dict(self.execution.output_summary),
-                "metadata": dict(self.execution.metadata),
-            }
-        return obj
-
-
-def step_from_obj(obj: Any) -> ReductionStep:
-    if not isinstance(obj, dict) or "step" not in obj:
-        raise ValueError("reduction step must be an object with a step name")
-    if "source" not in obj or "target" not in obj:
-        raise ValueError("serialized step must carry source and target problems")
-    return ReductionStep(
-        step=obj["step"],
-        params=dict(obj.get("params", {})),
-        source_h=graph_from_obj(obj["source"]["h"]),
-        source_kind=kind_from_str(obj["source"]["kind"]),
-        target_h=graph_from_obj(obj["target"]["h"]),
-        target_kind=kind_from_str(obj["target"]["kind"]),
-    )

@@ -3,7 +3,9 @@
 Each operation takes a concrete instance of a smaller pattern's problem and
 produces an instance of a bigger pattern's problem with the same budget k,
 plus a ReductionStep describing what happened (including per-copy branch or
-clique records, so the output can be audited structurally).
+clique records, so the output can be audited structurally).  STEPS maps
+every step name to the operation that runs it; chain replay and
+`hfree reduce` both dispatch through it.
 
 The two workhorse constructions attach, for every placement of a fixed
 sub-pattern inside the host's vertex set, k+1 fresh "branches" completing
@@ -13,10 +15,10 @@ branch vertices from distinct branches, across all placements.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
-from .classify import recognize_sparse_lh, sparse_case
+from .formats import graph_to_obj
 from .graphs import (
     Edge,
     Graph,
@@ -40,9 +42,63 @@ from .problems import (
     ContractViolationError,
     Instance,
     ModificationKind,
-    ReductionStep,
-    StepExecution,
+    class_edge,
+    recognize_sparse_lh,
 )
+
+
+@dataclass(frozen=True)
+class StepExecution:
+    """Record of one concrete application of a step."""
+
+    input_summary: dict[str, Any]
+    output_summary: dict[str, Any]
+    metadata: dict[str, Any] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class ReductionStep:
+    """One hop in a hardness chain.
+
+    The step turns any instance of the source problem (pattern `source_h`,
+    kind `source_kind`) into an equivalent instance of the target problem,
+    keeping the budget k unchanged.  `params` holds whatever the transform
+    needs to be replayed mechanically (see STEPS); `execution` is filled in
+    when the step is actually applied to an instance.
+    """
+
+    step: str
+    params: dict[str, Any]
+    source_h: Graph
+    source_kind: ModificationKind
+    target_h: Graph
+    target_kind: ModificationKind
+    execution: StepExecution | None = None
+
+    def __post_init__(self) -> None:
+        spec = STEPS.get(self.step)
+        if spec is None:
+            raise ValueError(f"unknown reduction step kind {self.step!r}")
+        missing = [p for p in spec.params if p not in self.params]
+        if missing:
+            raise ValueError(f"step {self.step} needs params {missing}")
+
+    def to_obj(self, *, include_endpoints: bool = True) -> dict[str, Any]:
+        obj: dict[str, Any] = {
+            "step": self.step,
+            "params": dict(self.params),
+            "graph_after": graph_to_obj(self.source_h),
+        }
+        if include_endpoints:
+            obj["source"] = {"h": graph_to_obj(self.source_h), "kind": self.source_kind.value}
+            obj["target"] = {"h": graph_to_obj(self.target_h), "kind": self.target_kind.value}
+        if self.execution is not None:
+            obj["execution"] = {
+                "input": dict(self.execution.input_summary),
+                "output": dict(self.execution.output_summary),
+                "metadata": dict(self.execution.metadata),
+            }
+        return obj
 
 
 @dataclass(frozen=True)
@@ -212,6 +268,56 @@ def complement_reduce(inst: Instance) -> tuple[Instance, ReductionStep]:
     return out, step
 
 
+def _through_complement(
+    inst: Instance,
+    name: str,
+    params: dict[str, Any],
+    inner: Callable[[Instance], tuple[Instance, ReductionStep]],
+) -> tuple[Instance, ReductionStep]:
+    """Complement the instance, run `inner` on that, and complement back.
+    The emitted step records the three hops as its composite."""
+    flipped, step_in = complement_reduce(inst)
+    mid, step_mid = inner(flipped)
+    out, step_out = complement_reduce(mid)
+    step = ReductionStep(
+        step=name,
+        params=params,
+        source_h=inst.h,
+        source_kind=inst.kind,
+        target_h=out.h,
+        target_kind=out.kind,
+        execution=_execution(
+            inst,
+            out,
+            {"composite": [step_in.to_obj(), step_mid.to_obj(), step_out.to_obj()]},
+        ),
+    )
+    return out, step
+
+
+def _construct_step(
+    inst: Instance, h: Graph, v_prime, joined: bool
+) -> tuple[Instance, ReductionStep]:
+    """Lift an instance for h[v_prime] to one for h with construct_adj
+    (joined) or construct_nonadj, keeping the modification kind."""
+    name = STEP_CONSTRUCT_ADJ if joined else STEP_CONSTRUCT_NONADJ
+    sub, _ = induced_subgraph(h, v_prime)
+    _require_iso(inst.h, sub, f"step {name}")
+    build = construct_adj if joined else construct_nonadj
+    g, records = build(inst.g, inst.k, h, v_prime)
+    out = Instance(g=g, k=inst.k, h=h, kind=inst.kind)
+    step = ReductionStep(
+        step=name,
+        params={"v_prime": v_prime},
+        source_h=inst.h,
+        source_kind=inst.kind,
+        target_h=h,
+        target_kind=inst.kind,
+        execution=_execution(inst, out, _branch_metadata(records)),
+    )
+    return out, step
+
+
 def reduce_degree(
     inst: Instance, h: Graph, d: int
 ) -> tuple[Instance, ReductionStep]:
@@ -258,30 +364,12 @@ def reduce_degree_max(
         )
     sub, _ = induced_subgraph(h, v_prime)
     _require_iso(inst.h, sub, "degree reduction (max side)")
-    d2 = h.n - 1 - d
-    flipped, step_in = complement_reduce(inst)
-    mid, step_mid = reduce_degree(flipped, complement(h), d2)
-    out, step_out = complement_reduce(mid)
-    step = ReductionStep(
-        step=STEP_DEGREE,
-        params={"d": d, "variant": "max"},
-        source_h=inst.h,
-        source_kind=inst.kind,
-        target_h=out.h,
-        target_kind=out.kind,
-        execution=_execution(
-            inst,
-            out,
-            {
-                "composite": [
-                    step_in.to_obj(),
-                    step_mid.to_obj(),
-                    step_out.to_obj(),
-                ]
-            },
-        ),
+    return _through_complement(
+        inst,
+        STEP_DEGREE,
+        {"d": d, "variant": "max"},
+        lambda flipped: reduce_degree(flipped, complement(h), h.n - 1 - d),
     )
-    return out, step
 
 
 def reduce_tdiamond(inst: Instance, t: int) -> tuple[Instance, ReductionStep]:
@@ -315,13 +403,6 @@ def _sparse_shape(h: Graph, what: str):
     return shape
 
 
-def _class_edge(h: Graph, cls: frozenset[int], what: str) -> Edge:
-    inside = sorted(e for e in h.edges if e[0] in cls and e[1] in cls)
-    if len(inside) != 1:
-        raise ValueError(f"{what}: expected one within-class edge, found {len(inside)}")
-    return inside[0]
-
-
 def reduce_sparse_vl(inst: Instance, h: Graph) -> tuple[Instance, ReductionStep]:
     """Lift from the pattern obtained by dropping h's adjacent low-degree
     pair (sparse shapes whose low class carries an edge)."""
@@ -330,7 +411,7 @@ def reduce_sparse_vl(inst: Instance, h: Graph) -> tuple[Instance, ReductionStep]
         raise ValueError("low-pair reduction needs exactly one edge in the low class")
     if inst.kind is not ModificationKind.DELETION:
         raise ValueError("low-pair reduction only applies to deletion")
-    u, v = _class_edge(h, shape.v_low, "low-pair reduction")
+    u, v = class_edge(h, shape.v_low)
     v_prime = [w for w in h.vertices if w not in (u, v)]
     sub, _ = induced_subgraph(h, v_prime)
     _require_iso(inst.h, sub, "low-pair reduction")
@@ -366,38 +447,16 @@ def reduce_sparse_vh(inst: Instance, h: Graph) -> tuple[Instance, ReductionStep]
         raise ValueError("clique-joined patterns take the induction route instead")
     if inst.kind is not ModificationKind.DELETION:
         raise ValueError("high-pair reduction only applies to deletion")
-    u, v = _class_edge(h, shape.v_high, "high-pair reduction")
+    u, v = class_edge(h, shape.v_high)
     v_prime = sorted(shape.v_low | {u, v})
     sub, _ = induced_subgraph(h, v_prime)
     _require_iso(inst.h, sub, "high-pair reduction")
-    flipped, step_in = complement_reduce(inst)
-    h_comp = complement(h)
-    g, records = construct_nonadj(flipped.g, flipped.k, h_comp, v_prime)
-    mid = Instance(g=g, k=flipped.k, h=h_comp, kind=ModificationKind.COMPLETION)
-    step_mid = ReductionStep(
-        step=STEP_CONSTRUCT_NONADJ,
-        params={"v_prime": v_prime},
-        source_h=flipped.h,
-        source_kind=flipped.kind,
-        target_h=h_comp,
-        target_kind=ModificationKind.COMPLETION,
-        execution=_execution(flipped, mid, _branch_metadata(records)),
+    return _through_complement(
+        inst,
+        STEP_SPARSE_VH,
+        {"high_pair": [u, v], "v_prime": v_prime},
+        lambda flipped: _construct_step(flipped, complement(h), v_prime, joined=False),
     )
-    out, step_out = complement_reduce(mid)
-    step = ReductionStep(
-        step=STEP_SPARSE_VH,
-        params={"high_pair": [u, v], "v_prime": v_prime},
-        source_h=inst.h,
-        source_kind=inst.kind,
-        target_h=out.h,
-        target_kind=out.kind,
-        execution=_execution(
-            inst,
-            out,
-            {"composite": [step_in.to_obj(), step_mid.to_obj(), step_out.to_obj()]},
-        ),
-    )
-    return out, step
 
 
 def reduce_sparse_case1(
@@ -444,7 +503,60 @@ def reduce_sparse_case1(
 
 
 # ---------------------------------------------------------------------------
-# chain replay
+# the step table and chain replay
+
+def _lift_degree(inst: Instance, h: Graph, params: dict[str, Any]):
+    lift = reduce_degree_max if params.get("variant", "min") == "max" else reduce_degree
+    return lift(inst, h, params["d"])
+
+
+def _lift_case1(inst: Instance, h: Graph, params: dict[str, Any]):
+    out, step = reduce_sparse_case1(inst.g, inst.k, h)
+    if inst.kind is not out.kind or not are_isomorphic(inst.h, step.source_h):
+        raise ValueError(
+            f"{STEP_SPARSE_CASE1} input must be a deletion instance of the "
+            "pattern's high-centered 3-path"
+        )
+    return out, step
+
+
+@dataclass(frozen=True)
+class StepSpec:
+    """How one kind of step runs: `lift(inst, h, params)` turns an instance
+    of the step's source problem into one for the target pattern h, and
+    returns it with the executed ReductionStep.  `params` names the step
+    params the lift reads; `pattern` says whether it needs h (the other
+    lifts derive the target); `cli` says whether `hfree reduce` offers it."""
+
+    lift: Callable[[Instance, Any, dict[str, Any]], tuple[Instance, ReductionStep]]
+    params: tuple[str, ...] = ()
+    pattern: bool = True
+    cli: bool = True
+
+
+# Every step kind.  The lifts name the reductions and constructions inside
+# their bodies, so each call goes through the module's current attributes.
+STEPS: dict[str, StepSpec] = {
+    STEP_COMPLEMENT: StepSpec(lambda inst, h, p: complement_reduce(inst), pattern=False),
+    STEP_DEGREE: StepSpec(_lift_degree, params=("d",)),
+    STEP_TDIAMOND: StepSpec(
+        lambda inst, h, p: reduce_tdiamond(inst, p["t"]), params=("t",), pattern=False
+    ),
+    STEP_SPARSE_VL: StepSpec(lambda inst, h, p: reduce_sparse_vl(inst, h)),
+    STEP_SPARSE_VH: StepSpec(lambda inst, h, p: reduce_sparse_vh(inst, h)),
+    STEP_SPARSE_CASE1: StepSpec(_lift_case1),
+    STEP_CONSTRUCT_NONADJ: StepSpec(
+        lambda inst, h, p: _construct_step(inst, h, p["v_prime"], joined=False),
+        params=("v_prime",),
+        cli=False,
+    ),
+    STEP_CONSTRUCT_ADJ: StepSpec(
+        lambda inst, h, p: _construct_step(inst, h, p["v_prime"], joined=True),
+        params=("v_prime",),
+        cli=False,
+    ),
+}
+
 
 def apply_step(step: ReductionStep, inst: Instance) -> Instance:
     """Execute one chain step on an instance of its source problem."""
@@ -454,31 +566,7 @@ def apply_step(step: ReductionStep, inst: Instance) -> Instance:
             f"source kind {step.source_kind.value}"
         )
     _require_iso(inst.h, step.source_h, f"step {step.step}")
-    if step.step == STEP_COMPLEMENT:
-        out, _ = complement_reduce(inst)
-    elif step.step == STEP_DEGREE:
-        d = step.params["d"]
-        if step.params.get("variant", "min") == "max":
-            out, _ = reduce_degree_max(inst, step.target_h, d)
-        else:
-            out, _ = reduce_degree(inst, step.target_h, d)
-    elif step.step == STEP_TDIAMOND:
-        out, _ = reduce_tdiamond(inst, step.params["t"])
-    elif step.step == STEP_SPARSE_VL:
-        out, _ = reduce_sparse_vl(inst, step.target_h)
-    elif step.step == STEP_SPARSE_VH:
-        out, _ = reduce_sparse_vh(inst, step.target_h)
-    elif step.step == STEP_SPARSE_CASE1:
-        out, _ = reduce_sparse_case1(inst.g, inst.k, step.target_h)
-    elif step.step == STEP_CONSTRUCT_NONADJ or step.step == STEP_CONSTRUCT_ADJ:
-        v_prime = step.params["v_prime"]
-        sub, _ = induced_subgraph(step.target_h, v_prime)
-        _require_iso(inst.h, sub, f"step {step.step}")
-        build = construct_adj if step.step == STEP_CONSTRUCT_ADJ else construct_nonadj
-        g, _records = build(inst.g, inst.k, step.target_h, v_prime)
-        out = Instance(g=g, k=inst.k, h=step.target_h, kind=step.target_kind)
-    else:
-        raise ValueError(f"unknown step kind {step.step!r}")
+    out, _ = STEPS[step.step].lift(inst, step.target_h, step.params)
     if out.k != inst.k:
         raise ContractViolationError(
             f"step {step.step} changed the budget: {inst.k} -> {out.k}"

@@ -14,7 +14,8 @@ import itertools
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import Graph, are_isomorphic, edge, t_diamond
+from .graphs import Graph, are_isomorphic, t_diamond
+from .problems import recognize_sparse_lh
 
 
 def refinement_signature(g: Graph) -> tuple:
@@ -56,39 +57,6 @@ def graphs_with_vertex_count(n: int) -> tuple[Graph, ...]:
 def graphs_up_to(n_max: int, n_min: int = 1) -> Iterator[Graph]:
     for n in range(n_min, n_max + 1):
         yield from graphs_with_vertex_count(n)
-
-
-def realizations(degrees: tuple[int, ...]) -> Iterator[Graph]:
-    """All labeled graphs with the exact degree sequence (vertex i gets
-    degrees[i]).  Plain backtracking; meant for small n."""
-    n = len(degrees)
-    residual = list(degrees)
-    chosen: list[tuple[int, int]] = []
-
-    def rec(v: int) -> Iterator[Graph]:
-        if v == n:
-            if all(x == 0 for x in residual):
-                yield Graph(n, frozenset(chosen))
-            return
-        need = residual[v]
-        if need == 0:
-            yield from rec(v + 1)
-            return
-        cands = [u for u in range(v + 1, n) if residual[u] > 0]
-        if need > len(cands):
-            return
-        for combo in itertools.combinations(cands, need):
-            for u in combo:
-                residual[u] -= 1
-            residual[v] = 0
-            chosen.extend((v, u) for u in combo)
-            yield from rec(v + 1)
-            del chosen[-need:]
-            residual[v] = need
-            for u in combo:
-                residual[u] += 1
-
-    yield from rec(0)
 
 
 def _capped_two_class_realizations(
@@ -150,8 +118,6 @@ def find_sparse_witness(
     Only graphs with two-valued degree sequences can qualify, so the search
     enumerates exactly those, smallest vertex count first.
     """
-    from .classify import recognize_sparse_lh
-
     for n in range(4, max_n + 1):
         for low in range(2, n - 1):
             for high in range(low + 1, n):

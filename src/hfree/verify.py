@@ -13,9 +13,10 @@ enumeration order so worker count never changes the output.
 """
 from __future__ import annotations
 
+import dataclasses
 import random
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any
+from typing import Any, Callable
 
 from .classify import (
     REASON_AT_MOST_ONE_EDGE,
@@ -24,10 +25,10 @@ from .classify import (
     CHURN_COMPLEMENT,
     CHURN_DELETE_MAX,
     CHURN_DELETE_MIN,
+    build_chain,
     classify,
     deletion_churn,
     editing_churn,
-    recognize_sparse_lh,
 )
 from .formats import serialize_graph6
 from .graphs import (
@@ -46,17 +47,14 @@ from .graphs import (
     t_diamond,
 )
 from .problems import (
-    STEP_COMPLEMENT,
     STEP_DEGREE,
-    STEP_SPARSE_VH,
-    STEP_SPARSE_VL,
-    STEP_TDIAMOND,
     ContractViolationError,
     Instance,
     ModificationKind,
-    ReductionStep,
+    recognize_sparse_lh,
 )
 from .reductions import (
+    ReductionStep,
     apply_step,
     audit_branch_construction,
     audit_clique_construction,
@@ -73,32 +71,6 @@ from .solve import (
     solve_branching,
     solve_bruteforce,
 )
-
-SUITE_NAMES = (
-    "classify",
-    "churn",
-    "degree",
-    "tdiamond",
-    "case1",
-    "sparse-vl",
-    "sparse-vh",
-    "complement",
-    "audits",
-)
-
-# acceptance-scale caps, per suite: (host_cap, k_cap, n_cap)
-_SUITE_CAPS: dict[str, tuple[int, int, int]] = {
-    "classify": (0, 0, 6),
-    "churn": (0, 0, 6),
-    "degree": (4, 2, 0),
-    "tdiamond": (4, 2, 0),
-    "case1": (4, 1, 0),
-    "sparse-vl": (4, 1, 0),
-    "sparse-vh": (4, 1, 0),
-    "complement": (5, 2, 0),
-    "audits": (5, 2, 0),
-}
-
 
 def _evaluate_case(args: tuple[ReductionStep, Graph, int]) -> dict[str, Any]:
     step, g, k = args
@@ -207,96 +179,26 @@ def _degree_steps() -> list[ReductionStep]:
     return steps
 
 
-def _tdiamond_steps() -> list[ReductionStep]:
-    return [
-        ReductionStep(
-            step=STEP_TDIAMOND,
-            params={"t": 3},
-            source_h=t_diamond(2),
-            source_kind=ModificationKind.DELETION,
-            target_h=t_diamond(3),
-            target_kind=ModificationKind.DELETION,
-        )
-    ]
+def _first_step(
+    h: Graph, kind: ModificationKind = ModificationKind.DELETION
+) -> ReductionStep:
+    """The classifier's first chain step for (h, kind), so the campaign
+    checks exactly the step that classify emits."""
+    return build_chain(h, kind)[0][0]
 
 
 def _case1_steps() -> list[ReductionStep]:
     h = join(null_graph(2), null_graph(3))
     _, step = reduce_sparse_case1(null_graph(1), 1, h)
-    return [
-        ReductionStep(
-            step=step.step,
-            params=step.params,
-            source_h=step.source_h,
-            source_kind=step.source_kind,
-            target_h=step.target_h,
-            target_kind=step.target_kind,
-        )
-    ]
-
-
-def _sparse_vl_steps() -> list[ReductionStep]:
-    h = find_sparse_witness(edges_in_high=0, edges_in_low=1)
-    shape = recognize_sparse_lh(h)
-    pair = sorted(e for e in h.edges if e[0] in shape.v_low and e[1] in shape.v_low)[0]
-    v_prime = [v for v in h.vertices if v not in pair]
-    sub, _ = induced_subgraph(h, v_prime)
-    return [
-        ReductionStep(
-            step=STEP_SPARSE_VL,
-            params={"low_pair": list(pair)},
-            source_h=sub,
-            source_kind=ModificationKind.DELETION,
-            target_h=h,
-            target_kind=ModificationKind.DELETION,
-        )
-    ]
-
-
-def _sparse_vh_steps() -> list[ReductionStep]:
-    h = find_sparse_witness(edges_in_high=1, edges_in_low=0, exclude_t_diamond=True)
-    shape = recognize_sparse_lh(h)
-    pair = sorted(
-        e for e in h.edges if e[0] in shape.v_high and e[1] in shape.v_high
-    )[0]
-    v_prime = sorted(shape.v_low | set(pair))
-    sub, _ = induced_subgraph(h, v_prime)
-    return [
-        ReductionStep(
-            step=STEP_SPARSE_VH,
-            params={"high_pair": list(pair), "v_prime": v_prime},
-            source_h=sub,
-            source_kind=ModificationKind.DELETION,
-            target_h=h,
-            target_kind=ModificationKind.DELETION,
-        )
-    ]
+    return [dataclasses.replace(step, execution=None)]
 
 
 def _complement_steps() -> list[ReductionStep]:
-    steps = []
-    for h in (path(3), graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])):
-        steps.append(
-            ReductionStep(
-                step=STEP_COMPLEMENT,
-                params={},
-                source_h=h,
-                source_kind=ModificationKind.DELETION,
-                target_h=complement(h),
-                target_kind=ModificationKind.COMPLETION,
-            )
-        )
-    return steps
-
-
-_EQUIVALENCE_SUITES = {
-    "degree": _degree_steps,
-    "tdiamond": _tdiamond_steps,
-    "case1": _case1_steps,
-    "sparse-vl": _sparse_vl_steps,
-    "sparse-vh": _sparse_vh_steps,
-    "complement": _complement_steps,
-}
+    # deletion of P3 and of the triangle, lifted to completion of the complement
+    return [
+        _first_step(complement(h), ModificationKind.COMPLETION)
+        for h in (path(3), graph_from_edges(3, [(0, 1), (1, 2), (0, 2)]))
+    ]
 
 
 def _check_churn_steps(g: Graph, steps, terminal: Graph) -> list[str]:
@@ -479,6 +381,47 @@ def run_audit_suite(seed: int, count: int = 100, host_cap: int = 5, k_cap: int =
     }
 
 
+def _campaigns(steps: Callable[[], list[ReductionStep]]):
+    """Runner of an equivalence suite: one campaign per step."""
+
+    def run(name, host_cap, k_cap, n_cap, seed, workers) -> dict[str, Any]:
+        campaigns = [
+            verify_equivalence(step, host_cap, k_cap, workers=workers)
+            for step in steps()
+        ]
+        return {
+            "suite": name,
+            "campaigns": campaigns,
+            "problems": sum(_campaign_problems(c) for c in campaigns),
+        }
+
+    return run
+
+
+# suite name -> (acceptance-scale caps (host_cap, k_cap, n_cap), runner); a
+# runner takes the suite name, the caps in force, the seed and the workers
+_SUITES: dict[str, tuple[tuple[int, int, int], Callable[..., dict[str, Any]]]] = {
+    "classify": ((0, 0, 6), lambda name, host, k, n, seed, w: run_classify_suite(n)),
+    "churn": ((0, 0, 6), lambda name, host, k, n, seed, w: run_churn_suite(n)),
+    "degree": ((4, 2, 0), _campaigns(_degree_steps)),
+    "tdiamond": ((4, 2, 0), _campaigns(lambda: [_first_step(t_diamond(3))])),
+    "case1": ((4, 1, 0), _campaigns(_case1_steps)),
+    "sparse-vl": ((4, 1, 0), _campaigns(lambda: [_first_step(find_sparse_witness(0, 1))])),
+    "sparse-vh": (
+        (4, 1, 0),
+        _campaigns(
+            lambda: [_first_step(find_sparse_witness(1, 0, exclude_t_diamond=True))]
+        ),
+    ),
+    "complement": ((5, 2, 0), _campaigns(_complement_steps)),
+    "audits": (
+        (5, 2, 0),
+        lambda name, host, k, n, seed, w: run_audit_suite(seed, host_cap=host, k_cap=k),
+    ),
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(
     name: str,
     host_cap: int | None = None,
@@ -491,25 +434,11 @@ def run_suite(
     overridden."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
-    default_host, default_k, default_n = _SUITE_CAPS[name]
+    (default_host, default_k, default_n), runner = _SUITES[name]
     host_cap = default_host if host_cap is None else host_cap
     k_cap = default_k if k_cap is None else k_cap
     n_cap = default_n if n_cap is None else n_cap
-    if name == "churn":
-        return run_churn_suite(n_cap)
-    if name == "classify":
-        return run_classify_suite(n_cap)
-    if name == "audits":
-        return run_audit_suite(seed, host_cap=host_cap, k_cap=k_cap)
-    campaigns = [
-        verify_equivalence(step, host_cap, k_cap, workers=workers)
-        for step in _EQUIVALENCE_SUITES[name]()
-    ]
-    return {
-        "suite": name,
-        "campaigns": campaigns,
-        "problems": sum(_campaign_problems(c) for c in campaigns),
-    }
+    return runner(name, host_cap, k_cap, n_cap, seed, workers)
 
 
 def run_suites(

@@ -111,6 +111,50 @@ def test_criterion_6_parameter_preservation(equivalence_reports):
     report_line(6, "parameter preservation", ok)
 
 
+# (suite, step, params, source kind, instances, agree_yes, agree_no) of every
+# campaign at the default caps.  A change to how campaign steps are built
+# must leave each of them as it is.
+CAMPAIGNS = [
+    ("degree", "degree-reduce", {"d": 2, "variant": "min"}, "deletion", 36, 17, 19),
+    ("degree", "degree-reduce", {"d": 2, "variant": "min"}, "completion", 36, 8, 28),
+    ("degree", "degree-reduce", {"d": 2, "variant": "min"}, "editing", 36, 17, 19),
+    ("degree", "degree-reduce", {"d": 1, "variant": "min"}, "deletion", 36, 33, 3),
+    ("degree", "degree-reduce", {"d": 1, "variant": "min"}, "completion", 36, 30, 6),
+    ("degree", "degree-reduce", {"d": 1, "variant": "min"}, "editing", 36, 34, 2),
+    ("tdiamond", "tdiamond-induction", {"t": 3}, "deletion", 36, 36, 0),
+    ("case1", "sparse-case1", {"triple": [2, 0, 3]}, "deletion", 18, 15, 3),
+    ("sparse-vl", "sparse-vl-strip", {"low_pair": [4, 5]}, "deletion", 18, 18, 0),
+    (
+        "sparse-vh",
+        "sparse-vh-route",
+        {"high_pair": [0, 1], "v_prime": [0, 1, 3, 4, 5, 6, 7]},
+        "deletion",
+        18,
+        18,
+        0,
+    ),
+    ("complement", "complement-problem", {}, "deletion", 104, 70, 34),
+    ("complement", "complement-problem", {}, "deletion", 104, 93, 11),
+]
+
+
+def test_campaign_steps_and_counts_are_pinned(equivalence_reports):
+    got = [
+        (
+            name,
+            c["step"]["step"],
+            c["step"]["params"],
+            c["step"]["source"]["kind"],
+            c["instances"],
+            c["agree_yes"],
+            c["agree_no"],
+        )
+        for name, suite in equivalence_reports.items()
+        for c in suite["campaigns"]
+    ]
+    assert got == CAMPAIGNS
+
+
 def test_zero_budget_sanity():
     # freeness and the k=0 solver agree everywhere the gate looks
     for g in graphs_up_to(4):

@@ -5,10 +5,11 @@ import sys
 
 import pytest
 
-from hfree.cli import main
+from hfree.cli import build_parser, main
 from hfree.formats import serialize_graph6, serialize_graph_json
 from hfree.graphs import cycle, path, t_diamond
 from hfree.problems import Instance, ModificationKind
+from hfree.reductions import STEPS
 
 
 def write(tmp_path, name, text):
@@ -115,6 +116,32 @@ def test_reduce_missing_flag_exit_2(tmp_path, capsys):
     )
     code, _, err = run(capsys, ["reduce", "--input", inst, "--step", "degree-reduce"])
     assert code == 2 and "degree" in err
+
+
+def test_reduce_unknown_step_exit_2(tmp_path, capsys):
+    inst = instance_file(
+        tmp_path, "in.json", cycle(5), 1, path(3), ModificationKind.DELETION
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--input", inst, "--step", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_reduce_step_choices_follow_the_step_table():
+    command = next(a for a in build_parser()._actions if a.dest == "command")
+    reduce = command.choices["reduce"]
+    step = next(a for a in reduce._actions if a.dest == "step")
+    assert step.choices == [name for name, spec in STEPS.items() if spec.cli]
+    # the construction steps are reachable only through chain replay
+    assert step.choices == [
+        "complement-problem",
+        "degree-reduce",
+        "tdiamond-induction",
+        "sparse-vl-strip",
+        "sparse-vh-route",
+        "sparse-case1",
+    ]
 
 
 def test_solve_exit_codes(tmp_path, capsys):

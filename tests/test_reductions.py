@@ -20,6 +20,7 @@ from hfree.problems import (
     Instance,
     ModificationKind,
     STEP_COMPLEMENT,
+    STEP_CONSTRUCT_ADJ,
     STEP_CONSTRUCT_NONADJ,
     STEP_SPARSE_CASE1,
     STEP_SPARSE_VH,
@@ -28,6 +29,7 @@ from hfree.problems import (
     instance_from_obj,
 )
 from hfree.reductions import (
+    ReductionStep,
     apply_step,
     audit_branch_construction,
     audit_clique_construction,
@@ -354,6 +356,48 @@ def test_apply_step_checks_source():
     redo = apply_step(step, inst)
     assert are_isomorphic(redo.h, t_diamond(3))
     assert redo.k == 1
+
+
+def test_apply_step_construct_steps_match_direct_constructions():
+    h, v_prime = diamond(), diamond_high_pair()
+    sub, _ = induced_subgraph(h, v_prime)
+    inst = Instance(g=path(3), k=1, h=sub, kind=DEL)
+    outs = []
+    for name, build in (
+        (STEP_CONSTRUCT_NONADJ, construct_nonadj),
+        (STEP_CONSTRUCT_ADJ, construct_adj),
+    ):
+        step = ReductionStep(
+            step=name,
+            params={"v_prime": v_prime},
+            source_h=sub,
+            source_kind=DEL,
+            target_h=h,
+            target_kind=DEL,
+        )
+        g, _ = build(inst.g, inst.k, h, v_prime)
+        outs.append(apply_step(step, inst))
+        assert outs[-1] == Instance(g=g, k=1, h=h, kind=DEL)
+    # the host admits several placements, so joining branches adds edges
+    assert outs[0].g.edges < outs[1].g.edges
+
+
+def test_reduction_step_rejects_unknown_names_and_missing_params():
+    def step(name, params):
+        return ReductionStep(
+            step=name,
+            params=params,
+            source_h=diamond(),
+            source_kind=DEL,
+            target_h=t_diamond(3),
+            target_kind=DEL,
+        )
+
+    with pytest.raises(ValueError, match="unknown reduction step"):
+        step("bogus", {})
+    with pytest.raises(ValueError, match="needs params"):
+        step(STEP_TDIAMOND, {})
+    assert step(STEP_TDIAMOND, {"t": 3}).params == {"t": 3}
 
 
 def test_replay_chain_empty_and_single():

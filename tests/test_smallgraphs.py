@@ -2,12 +2,12 @@
 import itertools
 
 from hfree.classify import recognize_sparse_lh, sparse_case
+from hfree.formats import serialize_graph6
 from hfree.graphs import are_isomorphic, graph_from_edges, t_diamond
 from hfree.smallgraphs import (
     find_sparse_witness,
     graphs_up_to,
     graphs_with_vertex_count,
-    realizations,
 )
 
 # counts of graphs up to isomorphism on 1..6 vertices
@@ -41,21 +41,12 @@ def test_graphs_up_to_ranges():
     assert [g.n for g in graphs_up_to(3)] == [1, 2, 2, 3, 3, 3, 3]
 
 
-def test_realizations_of_degree_sequences():
-    # (1,1,2): vertex 2 must be the path center, one labeled graph
-    assert len(list(realizations((1, 1, 2)))) == 1
-    # perfect matchings on 4 labeled vertices
-    assert len(list(realizations((1, 1, 1, 1)))) == 3
-    assert list(realizations((2, 2, 2))) == [
-        graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    ]
-    assert list(realizations((3, 0, 0))) == []
-
-
 def test_case3_witness():
     # smallest sparse two-degree graph with the single class edge down low
     w = find_sparse_witness(0, 1)
     assert w.n == 6 and w.m == 7
+    # the exact labelled graph; the sparse-vl campaign starts from it
+    assert serialize_graph6(w) == "E]`G"
     shape = recognize_sparse_lh(w)
     assert shape is not None
     assert (shape.edges_in_high, shape.edges_in_low) == (0, 1)
@@ -66,6 +57,8 @@ def test_case3_witness():
 def test_case2_non_tdiamond_witness():
     w = find_sparse_witness(1, 0, exclude_t_diamond=True)
     assert w.n == 8 and w.m == 11
+    # the exact labelled graph; the sparse-vh campaign starts from it
+    assert serialize_graph6(w) == "GeibB?"
     shape = recognize_sparse_lh(w)
     assert shape is not None
     assert (shape.edges_in_high, shape.edges_in_low) == (1, 0)
