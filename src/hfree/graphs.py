@@ -15,6 +15,11 @@ from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 
+# One shared copy of each distinct search-plan step.  Plans of different
+# patterns repeat the same few steps, and every enumerated small graph keeps
+# its plan, so sharing them keeps those plans from adding to peak memory.
+_PLAN_STEPS: dict[tuple[tuple[int, ...], tuple[int, ...], int], tuple] = {}
+
 
 def edge(u: int, v: int) -> Edge:
     """Normalize an unordered pair to a sorted tuple."""
@@ -57,6 +62,15 @@ class Graph:
         return tuple(frozenset(s) for s in nbrs)
 
     @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Neighbour bitmasks: bit u of masks[v] is set iff uv is an edge."""
+        nbrs = [0] * self.n
+        for u, v in self.edges:
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        return tuple(nbrs)
+
+    @cached_property
     def search_order(self) -> tuple[int, ...]:
         """Static vertex order for embedding this graph as a pattern: most
         constrained first, preferring vertices with many already placed
@@ -77,12 +91,22 @@ class Graph:
         return tuple(order)
 
     @cached_property
-    def adj_sorted(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(s)) for s in self.adj)
+    def search_plan(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+        """Per position of `search_order`: the earlier positions adjacent to
+        it in this graph, the earlier positions not adjacent to it, and its
+        degree."""
+        order = self.search_order
+        plan = []
+        for i, v in enumerate(order):
+            adjacent = tuple(j for j in range(i) if order[j] in self.adj[v])
+            apart = tuple(j for j in range(i) if order[j] not in self.adj[v])
+            step = (adjacent, apart, self.degree(v))
+            plan.append(_PLAN_STEPS.setdefault(step, step))
+        return tuple(plan)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.adj)
+        return tuple(m.bit_count() for m in self.masks)
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
@@ -347,56 +371,61 @@ def induced_embeddings(
     non-edges to non-edges).  `forced` pins pattern vertices to host
     vertices; yielded maps extend it.  Deterministic: a fixed pattern order
     and ascending host candidates.
+
+    The host is read only through `n` and `masks`, so any object with
+    those two attributes will do; the branching solver passes its mutable
+    host this way.  A position's candidates are the unused host vertices
+    inside the neighbour mask of every image of an earlier pattern
+    neighbour and outside that of every earlier non-neighbour, of at least
+    the pattern vertex's degree.
     """
-    if pattern.n == 0:
+    size = pattern.n
+    if size == 0:
         yield {}
         return
-    if pattern.n > host.n:
+    if size > host.n:
         return
     order = pattern.search_order
-    # per position: pairs (earlier position, adjacent-in-pattern flag)
-    constraints: list[list[tuple[int, bool]]] = []
-    for i, v in enumerate(order):
-        constraints.append([(j, order[j] in pattern.adj[v]) for j in range(i)])
-    host_deg = host.degrees
-    pat_deg = pattern.degrees
-    assigned: list[int] = [-1] * pattern.n
-    used: set[int] = set()
-
-    def candidates(i: int) -> Iterator[int]:
-        v = order[i]
-        pin = None if forced is None else forced.get(v)
-        if pin is not None:
-            pool: Iterable[int] = (pin,)
+    plan = pattern.search_plan
+    masks = host.masks
+    pins = [None if forced is None else forced.get(v) for v in order]
+    assigned = [-1] * size
+    pools = [0] * size  # per position, the candidates not yet tried
+    free = (1 << host.n) - 1  # host vertices no position holds
+    i = 0
+    entering = True
+    while True:
+        adjacent, apart, degree = plan[i]
+        if entering:
+            pool = free if pins[i] is None else free & (1 << pins[i])
+            for j in adjacent:
+                pool &= masks[assigned[j]]
+            for j in apart:
+                pool &= ~masks[assigned[j]]
         else:
-            nbr_positions = [j for j, adjacent in constraints[i] if adjacent]
-            if nbr_positions:
-                pool = host.adj_sorted[assigned[nbr_positions[0]]]
-            else:
-                pool = host.vertices
-        for c in pool:
-            if c in used or host_deg[c] < pat_deg[v]:
-                continue
-            ok = True
-            for j, adjacent in constraints[i]:
-                if (assigned[j] in host.adj[c]) != adjacent:
-                    ok = False
-                    break
-            if ok:
-                yield c
-
-    def dfs(i: int) -> Iterator[dict[int, int]]:
-        if i == pattern.n:
-            yield {order[j]: assigned[j] for j in range(pattern.n)}
-            return
-        for c in candidates(i):
-            assigned[i] = c
-            used.add(c)
-            yield from dfs(i + 1)
-            used.discard(c)
-        assigned[i] = -1
-
-    yield from dfs(0)
+            pool = pools[i]
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            c = low.bit_length() - 1
+            if masks[c].bit_count() >= degree:
+                break
+        else:
+            if i == 0:
+                return
+            i -= 1
+            free |= 1 << assigned[i]
+            entering = False
+            continue
+        assigned[i] = c
+        pools[i] = pool
+        if i + 1 == size:
+            entering = False
+            yield {order[j]: assigned[j] for j in range(size)}
+        else:
+            free ^= low
+            i += 1
+            entering = True
 
 
 def find_induced_embedding(

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .formats import graph_from_obj, graph_to_obj
 from .graphs import (
@@ -160,17 +160,31 @@ BASE_DIAMOND_DELETION = "diamond-deletion"
 BASE_TREE_OR_REGULAR_DELETION = "tree-or-regular-deletion"
 BASE_SPARSE_CASE1_DELETION = "sparse-case1-deletion"
 
-_EDITING_BASES = {
-    BASE_P3_EDITING,
-    BASE_P4_EDITING,
-    BASE_DIAMOND_EDITING,
-    BASE_REGULAR_EDITING,
-}
-_DELETION_BASES = {
-    BASE_P3_DELETION,
-    BASE_DIAMOND_DELETION,
-    BASE_TREE_OR_REGULAR_DELETION,
-    BASE_SPARSE_CASE1_DELETION,
+
+def _sparse_case1_premise(g: Graph) -> bool:
+    shape = recognize_sparse_lh(g)
+    return shape is not None and shape.low >= 2 and sparse_case(shape) == 1
+
+
+def _isomorphic_to(pattern: Graph) -> Callable[[Graph], bool]:
+    return lambda g: are_isomorphic(g, pattern)
+
+
+_EDITING, _DELETION = ModificationKind.EDITING, ModificationKind.DELETION
+
+# Every anchor: name -> (its modification kind, the premise its graph meets).
+ANCHORS: dict[str, tuple[ModificationKind, Callable[[Graph], bool]]] = {
+    BASE_P3_EDITING: (_EDITING, _isomorphic_to(path(3))),
+    BASE_P4_EDITING: (_EDITING, _isomorphic_to(path(4))),
+    BASE_DIAMOND_EDITING: (_EDITING, _isomorphic_to(t_diamond(2))),
+    BASE_REGULAR_EDITING: (_EDITING, lambda g: is_regular(g) and g.m >= 2),
+    BASE_P3_DELETION: (_DELETION, _isomorphic_to(path(3))),
+    BASE_DIAMOND_DELETION: (_DELETION, _isomorphic_to(t_diamond(2))),
+    BASE_TREE_OR_REGULAR_DELETION: (
+        _DELETION,
+        lambda g: g.m >= 2 and _largest_component_regular_or_tree(g),
+    ),
+    BASE_SPARSE_CASE1_DELETION: (_DELETION, _sparse_case1_premise),
 }
 
 
@@ -183,36 +197,21 @@ class BaseProblem:
     name: str
     graph: Graph
 
+    def _anchor(self) -> tuple[ModificationKind, Callable[[Graph], bool]]:
+        if self.name not in ANCHORS:
+            raise ValueError(f"unknown base problem {self.name!r}")
+        return ANCHORS[self.name]
+
     @property
     def kind(self) -> ModificationKind:
-        if self.name in _EDITING_BASES:
-            return ModificationKind.EDITING
-        if self.name in _DELETION_BASES:
-            return ModificationKind.DELETION
-        raise ValueError(f"unknown base problem {self.name!r}")
+        return self._anchor()[0]
 
     def validate(self) -> None:
         """Check the premise attached to this anchor; raise on mismatch."""
-        g = self.graph
-        name = self.name
-        if name in (BASE_P3_EDITING, BASE_P3_DELETION):
-            ok = are_isomorphic(g, path(3))
-        elif name == BASE_P4_EDITING:
-            ok = are_isomorphic(g, path(4))
-        elif name in (BASE_DIAMOND_EDITING, BASE_DIAMOND_DELETION):
-            ok = are_isomorphic(g, t_diamond(2))
-        elif name == BASE_REGULAR_EDITING:
-            ok = is_regular(g) and g.m >= 2
-        elif name == BASE_TREE_OR_REGULAR_DELETION:
-            ok = g.m >= 2 and _largest_component_regular_or_tree(g)
-        elif name == BASE_SPARSE_CASE1_DELETION:
-            shape = recognize_sparse_lh(g)
-            ok = shape is not None and shape.low >= 2 and sparse_case(shape) == 1
-        else:
-            raise ValueError(f"unknown base problem {name!r}")
-        if not ok:
+        _, premise = self._anchor()
+        if not premise(self.graph):
             raise ContractViolationError(
-                f"base problem {name} premise fails for its attached graph"
+                f"base problem {self.name} premise fails for its attached graph"
             )
 
     def to_obj(self) -> dict[str, Any]:

@@ -16,6 +16,7 @@ branch vertices from distinct branches, across all placements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb, perm
 from typing import Any, Callable
 
 from .formats import graph_to_obj
@@ -23,6 +24,7 @@ from .graphs import (
     Edge,
     Graph,
     are_isomorphic,
+    automorphism_count,
     complement,
     edge,
     enumerate_pattern_copies,
@@ -137,7 +139,54 @@ class CliqueRecord:
         }
 
 
-def _check_construct_args(g_prime: Graph, k: int, h: Graph, v_prime) -> list[int]:
+# Largest output that a construction or a complement step builds; a bigger
+# one is refused before it is built.  Nothing the tests, `hfree verify all`
+# or the benchmark run constructs more than 366 vertices or 7262 edges.  On 2 CPUs with Python 3.11, a construct_nonadj output of
+# 19,900 vertices took 11 MB and its bitmask adjacency 25 MB more, and a
+# construct_adj output of 985,634 edges took 125 MB (1,513,829 edges took
+# 221 MB), so at these caps a construction stays under about 150 MB.
+CONSTRUCT_VERTEX_CAP = 20_000
+CONSTRUCT_EDGE_CAP = 1_000_000
+
+
+class ConstructionCapExceeded(ValueError):
+    """A construction or complement step would output more vertices or
+    edges than its cap; refusing beats running out of memory."""
+
+
+def _check_size(what: str, n: int, m: int) -> None:
+    if n > CONSTRUCT_VERTEX_CAP or m > CONSTRUCT_EDGE_CAP:
+        raise ConstructionCapExceeded(
+            f"{what} would output {n} vertices and {m} edges, over the cap of "
+            f"{CONSTRUCT_VERTEX_CAP} vertices and {CONSTRUCT_EDGE_CAP} edges"
+        )
+
+
+def construction_size(
+    g_prime: Graph, k: int, h: Graph, v_prime, joined: bool = False
+) -> tuple[int, int]:
+    """Vertex and edge count of construct_nonadj (or, joined,
+    construct_adj) output, without building it.  Every placement of
+    h[v_prime] on the host's vertices gets k+1 branches of the pattern's
+    other vertices, each carrying the pattern edges that touch them, and
+    there are n!/(n-p)!/|Aut(h[v_prime])| placements of p vertices on n.
+    Joining adds an edge between every two branch vertices of distinct
+    branches."""
+    vp = sorted(set(v_prime))
+    sub, _ = induced_subgraph(h, vp)
+    branches = perm(g_prime.n, len(vp)) // automorphism_count(sub) * (k + 1)
+    outside = h.n - len(vp)
+    touching = sum(1 for a, b in h.edges if a not in vp or b not in vp)
+    n = g_prime.n + branches * outside
+    m = g_prime.m + branches * touching
+    if joined:
+        m += comb(branches * outside, 2) - branches * comb(outside, 2)
+    return n, m
+
+
+def _check_construct_args(
+    g_prime: Graph, k: int, h: Graph, v_prime, joined: bool
+) -> list[int]:
     vp = sorted(set(v_prime))
     if not vp:
         raise ValueError("v_prime must name at least one pattern vertex")
@@ -145,6 +194,7 @@ def _check_construct_args(g_prime: Graph, k: int, h: Graph, v_prime) -> list[int
         raise ValueError(f"v_prime {vp} is not a subset of the pattern's vertices")
     if k < 1:
         raise ValueError(f"budget must be at least 1, got {k}")
+    _check_size("the construction", *construction_size(g_prime, k, h, vp, joined))
     return vp
 
 
@@ -156,9 +206,18 @@ def construct_nonadj(
     ignored when placing, and the placement's own edges are never added).
 
     A host smaller than v_prime admits no placements and passes through
-    unchanged.
+    unchanged.  An output over CONSTRUCT_VERTEX_CAP vertices or
+    CONSTRUCT_EDGE_CAP edges is refused with ConstructionCapExceeded before
+    anything is built.
     """
-    vp = _check_construct_args(g_prime, k, h, v_prime)
+    return _attach_branches(
+        g_prime, k, h, _check_construct_args(g_prime, k, h, v_prime, False)
+    )
+
+
+def _attach_branches(
+    g_prime: Graph, k: int, h: Graph, vp: list[int]
+) -> tuple[Graph, list[BranchRecord]]:
     sub, old_to_new = induced_subgraph(h, vp)
     outside = [v for v in h.vertices if v not in old_to_new]
     records: list[BranchRecord] = []
@@ -194,8 +253,10 @@ def construct_adj(
     g_prime: Graph, k: int, h: Graph, v_prime
 ) -> tuple[Graph, list[BranchRecord]]:
     """As construct_nonadj, then join every pair of branch vertices lying in
-    distinct branches, across all placements."""
-    g, records = construct_nonadj(g_prime, k, h, v_prime)
+    distinct branches, across all placements.  The caps count the joined
+    edges too."""
+    vp = _check_construct_args(g_prime, k, h, v_prime, True)
+    g, records = _attach_branches(g_prime, k, h, vp)
     extra: set[Edge] = set()
     for i, ri in enumerate(records):
         for rj in records[i + 1 :]:
@@ -207,9 +268,15 @@ def construct_adj(
 
 def construct_tdiamond(g_prime: Graph, k: int) -> tuple[Graph, list[CliqueRecord]]:
     """Attach to every host edge a fresh (k+1)-clique fully joined to the
-    edge's two endpoints; distinct cliques stay non-adjacent."""
+    edge's two endpoints; distinct cliques stay non-adjacent.  The output
+    size caps apply as for construct_nonadj."""
     if k < 1:
         raise ValueError(f"budget must be at least 1, got {k}")
+    _check_size(
+        "the t-diamond construction",
+        g_prime.n + g_prime.m * (k + 1),
+        g_prime.m * (1 + 2 * (k + 1) + comb(k + 1, 2)),
+    )
     new_edges: set[Edge] = set(g_prime.edges)
     records: list[CliqueRecord] = []
     next_vertex = g_prime.n
@@ -249,7 +316,10 @@ def _branch_metadata(records: list[BranchRecord]) -> dict[str, Any]:
 
 
 def complement_reduce(inst: Instance) -> tuple[Instance, ReductionStep]:
-    """Complement host and pattern, flipping deletion and completion."""
+    """Complement host and pattern, flipping deletion and completion.  A
+    host complement over the construction caps is refused unbuilt."""
+    n = inst.g.n
+    _check_size("the complement", n, comb(n, 2) - inst.g.m)
     out = Instance(
         g=complement(inst.g),
         k=inst.k,
@@ -477,7 +547,7 @@ def reduce_sparse_case1(
         )
     triple = None
     for v in sorted(shape.v_high):
-        lows = [w for w in h.adj_sorted[v] if w in shape.v_low]
+        lows = sorted(w for w in h.adj[v] if w in shape.v_low)
         if len(lows) >= 2:
             triple = (lows[0], v, lows[1])
             break
@@ -582,12 +652,16 @@ def apply_step(step: ReductionStep, inst: Instance) -> Instance:
 def replay_chain(chain, seed: Instance) -> Instance:
     """Run a hardness chain forward: start from an instance of the chain's
     base problem and apply the steps from the base end up to the pattern the
-    chain was built for.  The budget must come out unchanged."""
+    chain was built for.  The budget must come out unchanged.  A step whose
+    construction would pass the cap raises ConstructionCapExceeded as it is,
+    since the refusal is about size, not about the chain."""
     inst = seed
     for idx in range(len(chain) - 1, -1, -1):
         step = chain[idx]
         try:
             inst = apply_step(step, inst)
+        except ConstructionCapExceeded:
+            raise
         except (ValueError, ContractViolationError) as exc:
             raise ContractViolationError(
                 f"replay failed at chain index {idx} ({step.step}): {exc}"

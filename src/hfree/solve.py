@@ -16,6 +16,7 @@ from math import comb
 from typing import Any
 
 from .graphs import (
+    Edge,
     EditSet,
     Graph,
     apply_edits,
@@ -106,13 +107,7 @@ def solve_bruteforce(
     for size in range(depth + 1):
         for combo in combinations(pairs, size):
             nodes += 1
-            candidate = g
-            for u, v in combo:
-                candidate = (
-                    Graph(candidate.n, candidate.edges - {edge(u, v)})
-                    if edge(u, v) in candidate.edges
-                    else Graph(candidate.n, candidate.edges | {edge(u, v)})
-                )
+            candidate = Graph(g.n, g.edges ^ set(combo))
             if is_induced_copy_free(candidate, h):
                 return SolveResult(
                     answer=True,
@@ -120,6 +115,26 @@ def solve_bruteforce(
                     stats=SolveStats(nodes=nodes, copies_found=0),
                 )
     return SolveResult(answer=False, witness=None, stats=SolveStats(nodes, 0))
+
+
+class _ToggledHost:
+    """The branching search's current graph: one list of neighbour masks,
+    edited in place.  `find_induced_copy` reads it as it reads a Graph,
+    through `n` and `masks`."""
+
+    __slots__ = ("n", "masks")
+
+    def __init__(self, g: Graph) -> None:
+        self.n = g.n
+        self.masks = list(g.masks)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return bool(self.masks[u] >> v & 1)
+
+    def toggle(self, pair: Edge) -> None:
+        u, v = pair
+        self.masks[u] ^= 1 << v
+        self.masks[v] ^= 1 << u
 
 
 def solve_branching(
@@ -130,13 +145,17 @@ def solve_branching(
 
     A pair edited once on the current path is never touched again on that
     path, so each leaf's accumulated pair set is exactly its symmetric
-    difference from g.
+    difference from g.  The current graph is a single mutable host: each
+    branch toggles its pair's two mask bits and toggles them back on
+    return, so a node costs one copy search and no graph rebuild.
     """
     if k < 0:
         raise ValueError(f"budget must be non-negative, got {k}")
     stats = {"nodes": 0, "copies": 0}
+    cur = _ToggledHost(g)
+    path: list[Edge] = []
 
-    def candidates(cur: Graph, copy: tuple[int, ...]) -> list:
+    def candidates(copy: tuple[int, ...]) -> list[Edge]:
         present = []
         absent = []
         for u, v in combinations(copy, 2):
@@ -147,38 +166,31 @@ def solve_branching(
             return absent
         return sorted(present + absent)
 
-    def search(cur: Graph, budget: int, locked: frozenset, path: tuple):
+    def search(budget: int) -> bool:
         stats["nodes"] += 1
         copy = find_induced_copy(cur, h)
         if copy is None:
-            return path
+            return True
         stats["copies"] += 1
         if budget == 0:
-            return None
-        for pair in candidates(cur, copy):
-            if pair in locked:
+            return False
+        for pair in candidates(copy):
+            if pair in path:
                 continue
-            if pair in cur.edges:
-                nxt = Graph(cur.n, cur.edges - {pair})
-            else:
-                nxt = Graph(cur.n, cur.edges | {pair})
-            found = search(nxt, budget - 1, locked | {pair}, path + (pair,))
-            if found is not None:
-                return found
-        return None
+            cur.toggle(pair)
+            path.append(pair)
+            found = search(budget - 1)
+            cur.toggle(pair)
+            if found:
+                return True
+            path.pop()
+        return False
 
-    found = search(g, k, frozenset(), ())
-    if found is None:
-        return SolveResult(
-            answer=False,
-            witness=None,
-            stats=SolveStats(stats["nodes"], stats["copies"]),
-        )
-    return SolveResult(
-        answer=True,
-        witness=_split_edits(g, found),
-        stats=SolveStats(stats["nodes"], stats["copies"]),
-    )
+    found = search(k)
+    stats_obj = SolveStats(stats["nodes"], stats["copies"])
+    if not found:
+        return SolveResult(answer=False, witness=None, stats=stats_obj)
+    return SolveResult(answer=True, witness=_split_edits(g, path), stats=stats_obj)
 
 
 def solve_instance(inst: Instance, engine: str = "branch") -> SolveResult:

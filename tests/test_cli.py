@@ -110,6 +110,20 @@ def test_reduce_complement_twice_is_identity(tmp_path, capsys):
     assert json.loads(out)["instance"] == json.loads((tmp_path / "in.json").read_text())
 
 
+def test_reduce_over_construction_cap_exit_2(tmp_path, capsys):
+    # P3 has 24,360 placements on 30 vertices, each with two 2-vertex branches
+    inst = instance_file(
+        tmp_path, "in.json", path(30), 1, path(3), ModificationKind.DELETION
+    )
+    patt = write(tmp_path, "p5.g6", serialize_graph6(path(5)))
+    code, out, err = run(
+        capsys,
+        ["reduce", "--input", inst, "--step", "degree-reduce", "--pattern", patt, "--degree", "1"],
+    )
+    assert code == 2 and out == ""
+    assert "48750 vertices" in err and "over the cap" in err
+
+
 def test_reduce_missing_flag_exit_2(tmp_path, capsys):
     inst = instance_file(
         tmp_path, "in.json", cycle(5), 1, path(3), ModificationKind.DELETION

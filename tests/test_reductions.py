@@ -29,6 +29,7 @@ from hfree.problems import (
     instance_from_obj,
 )
 from hfree.reductions import (
+    ConstructionCapExceeded,
     ReductionStep,
     apply_step,
     audit_branch_construction,
@@ -37,6 +38,7 @@ from hfree.reductions import (
     construct_adj,
     construct_nonadj,
     construct_tdiamond,
+    construction_size,
     reduce_degree,
     reduce_degree_max,
     reduce_sparse_case1,
@@ -426,6 +428,62 @@ def test_full_chain_replay_tdiamond4():
     final = replay_chain(chain, seed)
     assert are_isomorphic(final.h, t_diamond(4))
     assert final.k == 2 and final.kind is DEL
+
+
+def test_construction_size_matches_built_outputs():
+    for h in graphs_up_to(4, n_min=2):
+        for v_prime in ([0], [0, 1], list(range(h.n - 1)), list(range(h.n))):
+            for n in range(6):
+                host = graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+                for joined, build in ((False, construct_nonadj), (True, construct_adj)):
+                    out, _ = build(host, 2, h, v_prime)
+                    assert construction_size(host, 2, h, v_prime, joined) == (
+                        out.n,
+                        out.m,
+                    )
+
+
+def test_construction_cap_refuses_before_building():
+    # the classifier's deletion chain for E?q_ grows a 3-path seed to 15 and
+    # then to 360,375 vertices; the second step is refused before it starts
+    from hfree.classify import classify
+    from hfree.formats import parse_graph6
+
+    verdict = classify(parse_graph6("E?q_"), DEL)
+    seed = Instance(g=path(3), k=1, h=verdict.base.graph, kind=verdict.base.kind)
+    with pytest.raises(ConstructionCapExceeded, match="360375 vertices"):
+        replay_chain(verdict.chain, seed)
+
+    # joining makes the edge count grow with the square of the vertex count:
+    # 1770 vertices are under the vertex cap, their 1.5M joined edges are not
+    assert construction_size(path(30), 1, path(4), [0, 1]) == (1770, 1769)
+    assert construction_size(path(30), 1, path(4), [0, 1], True) == (1770, 1513829)
+    construct_nonadj(path(30), 1, path(4), [0, 1])
+    with pytest.raises(ConstructionCapExceeded, match="1513829 edges"):
+        construct_adj(path(30), 1, path(4), [0, 1])
+    with pytest.raises(ConstructionCapExceeded, match="79800 vertices"):
+        construct_nonadj(path(200), 1, path(4), [0, 1])
+
+
+def test_complement_and_tdiamond_caps_refuse_before_building():
+    # EEho's deletion chain complements a 6057-vertex degree construction,
+    # which would give 18,328,466 edges
+    from hfree.classify import classify
+    from hfree.formats import parse_graph6
+
+    verdict = classify(parse_graph6("EEho"), DEL)
+    seed = Instance(g=path(3), k=1, h=verdict.base.graph, kind=verdict.base.kind)
+    with pytest.raises(ConstructionCapExceeded, match="18328466 edges"):
+        replay_chain(verdict.chain, seed)
+
+    edgeless = Instance(g=graph_from_edges(1500, []), k=1, h=path(3), kind=DEL)
+    with pytest.raises(ConstructionCapExceeded, match="1124250 edges"):
+        complement_reduce(edgeless)
+    # 9 host edges, each with a 1001-clique joined to both of its ends
+    with pytest.raises(
+        ConstructionCapExceeded, match="9019 vertices and 4522527 edges"
+    ):
+        construct_tdiamond(path(10), 1000)
 
 
 def test_instance_round_trip():

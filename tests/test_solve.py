@@ -1,12 +1,15 @@
 """Branching and brute-force deciders."""
 import itertools
+import random
 
 import pytest
 
 from hfree.graphs import (
+    Graph,
     complete,
     cycle,
     delete_edges,
+    edge,
     is_induced_copy_free,
     null_graph,
     path,
@@ -164,3 +167,84 @@ def test_stats_are_reported():
     r = solve_branching(cycle(5), 1, path(3), DEL)
     assert r.stats.nodes > 0
     assert r.stats.copies_found > 0
+
+
+GOLDEN_PROBLEMS = {
+    "p3-deletion": (path(3), DEL),
+    "p4-editing": (path(4), ModificationKind.EDITING),
+    "diamond-deletion": (t_diamond(2), DEL),
+    "c4-completion": (cycle(4), ModificationKind.COMPLETION),
+}
+
+
+def golden_instance(name, seed):
+    """A seeded 16-25 vertex host: an H-free base (disjoint cliques, or a
+    random bipartite graph for the diamond) with k, k+2 or k+5 pairs
+    toggled, each of a sort the kind may toggle back."""
+    rng = random.Random(f"{name}/{seed}")
+    n = rng.randint(16, 25)
+    k = rng.choice((3, 4))
+    vs = list(range(n))
+    rng.shuffle(vs)
+    if name == "diamond-deletion":
+        side = set(vs[: n // 2])
+        base = {
+            edge(u, v)
+            for u, v in itertools.combinations(range(n), 2)
+            if (u in side) != (v in side) and rng.random() < 0.5
+        }
+    else:
+        cuts = sorted(rng.sample(range(1, n), n // 6))
+        blocks = [vs[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        base = {edge(u, v) for b in blocks for u, v in itertools.combinations(b, 2)}
+    h, kind = GOLDEN_PROBLEMS[name]
+    pairs = [edge(u, v) for u, v in itertools.combinations(range(n), 2)]
+    if kind is DEL:
+        pairs = [p for p in pairs if p not in base]
+    elif kind is ModificationKind.COMPLETION:
+        pairs = [p for p in pairs if p in base]
+    flips = rng.sample(pairs, k + rng.choice((0, 2, 5)))
+    return Graph(n, frozenset(base) ^ set(flips)), k, h, kind
+
+
+# (problem, seed) -> (n, k, answer, deletions, completions, nodes,
+# copies_found).  Recorded from the branching engine before its host
+# became a mutable mask list; the search order (pattern search order,
+# ascending host candidates, first copy found) fixes every field.
+GOLDEN_SOLVES = {
+    ("p3-deletion", 0): (16, 4, False, None, None, 31, 31),
+    ("p3-deletion", 4): (
+        25, 4, True, [(1, 20), (3, 4), (6, 14), (8, 20)], [], 31, 30,
+    ),
+    ("p4-editing", 0): (24, 4, False, None, None, 1186, 1186),
+    ("p4-editing", 4): (17, 3, True, [(3, 8), (3, 9)], [(4, 10)], 131, 130),
+    ("diamond-deletion", 2): (19, 4, False, None, None, 781, 781),
+    ("diamond-deletion", 4): (
+        18, 3, True, [(2, 3), (9, 13), (11, 14)], [], 28, 27,
+    ),
+    ("c4-completion", 1): (
+        22, 4, True, [], [(6, 13), (8, 10), (8, 13), (19, 20)], 6, 5,
+    ),
+    ("c4-completion", 4): (
+        17, 4, True, [], [(2, 6), (6, 9), (6, 14), (9, 16)], 24, 23,
+    ),
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_SOLVES))
+def test_branching_golden_instances(name, seed):
+    g, k, h, kind = golden_instance(name, seed)
+    r = solve_branching(g, k, h, kind)
+    w = r.witness
+    got = (
+        g.n,
+        k,
+        r.answer,
+        sorted(w.deletions) if w else None,
+        sorted(w.completions) if w else None,
+        r.stats.nodes,
+        r.stats.copies_found,
+    )
+    assert got == GOLDEN_SOLVES[name, seed]
+    if r.answer:
+        assert check_witness(g, k, h, kind, w)
