@@ -47,11 +47,10 @@ from .problems import (
     BaseProblem,
     ContractViolationError,
     ModificationKind,
-    class_edge,
     recognize_sparse_lh,
     sparse_case,
 )
-from .reductions import ReductionStep
+from .reductions import ReductionStep, chain_step
 
 REASON_AT_MOST_TWO_VERTICES = "at-most-two-vertices"
 REASON_AT_MOST_ONE_EDGE = "at-most-one-edge"
@@ -190,25 +189,7 @@ class Classification:
 
 def _degree_step(cs: ChurnStep, kind: ModificationKind) -> ReductionStep:
     variant = "min" if cs.kind == CHURN_DELETE_MIN else "max"
-    return ReductionStep(
-        step=STEP_DEGREE,
-        params={"d": cs.degree, "variant": variant},
-        source_h=cs.after,
-        source_kind=kind,
-        target_h=cs.before,
-        target_kind=kind,
-    )
-
-
-def _complement_step(before: Graph, kind: ModificationKind) -> ReductionStep:
-    return ReductionStep(
-        step=STEP_COMPLEMENT,
-        params={},
-        source_h=complement(before),
-        source_kind=kind.flipped(),
-        target_h=before,
-        target_kind=kind,
-    )
+    return chain_step(STEP_DEGREE, {"d": cs.degree, "variant": variant}, cs.before, kind)
 
 
 def _editing_chain(h: Graph) -> tuple[list[ReductionStep], BaseProblem]:
@@ -217,7 +198,7 @@ def _editing_chain(h: Graph) -> tuple[list[ReductionStep], BaseProblem]:
     steps: list[ReductionStep] = []
     for cs in churn_steps:
         if cs.kind == CHURN_COMPLEMENT:
-            steps.append(_complement_step(cs.before, editing))
+            steps.append(chain_step(STEP_COMPLEMENT, {}, cs.before, editing))
         else:
             steps.append(_degree_step(cs, editing))
     if _is_p3(terminal):
@@ -237,7 +218,7 @@ def _editing_chain(h: Graph) -> tuple[list[ReductionStep], BaseProblem]:
         raise ContractViolationError(
             f"editing terminal {terminal!r} and its complement are both near-empty"
         )
-    steps.append(_complement_step(terminal, editing))
+    steps.append(chain_step(STEP_COMPLEMENT, {}, terminal, editing))
     return steps, BaseProblem(BASE_REGULAR_EDITING, comp)
 
 
@@ -273,62 +254,22 @@ def _deletion_chain(h: Graph) -> tuple[list[ReductionStep], BaseProblem]:
         case = sparse_case(shape)
         if case == 1:
             return steps, BaseProblem(BASE_SPARSE_CASE1_DELETION, cur)
-        if case in (3, 4):
-            # strip the unique adjacent low-degree pair and keep going
-            u, v = class_edge(cur, shape.v_low)
-            rest = [w for w in cur.vertices if w not in (u, v)]
-            nxt, _ = induced_subgraph(cur, rest)
-            if nxt.m < 2 or nxt.n >= cur.n:
-                raise ContractViolationError(
-                    f"stripping the low pair of {cur!r} lost the edge guarantee"
-                )
-            steps.append(
-                ReductionStep(
-                    step=STEP_SPARSE_VL,
-                    params={"low_pair": [u, v]},
-                    source_h=nxt,
-                    source_kind=deletion,
-                    target_h=cur,
-                    target_kind=deletion,
-                )
-            )
-            cur = nxt
-            continue
-        # case 2: the high class holds the one edge
         t = cur.n - 2
-        if t >= 2 and are_isomorphic(cur, t_diamond(t)):
+        if case == 2 and t >= 2 and are_isomorphic(cur, t_diamond(t)):
             while t > 2:
-                steps.append(
-                    ReductionStep(
-                        step=STEP_TDIAMOND,
-                        params={"t": t},
-                        source_h=t_diamond(t - 1),
-                        source_kind=deletion,
-                        target_h=cur,
-                        target_kind=deletion,
-                    )
-                )
-                cur = t_diamond(t - 1)
+                steps.append(chain_step(STEP_TDIAMOND, {"t": t}, cur, deletion))
+                cur = steps[-1].source_h
                 t -= 1
             return steps, BaseProblem(BASE_DIAMOND_DELETION, cur)
-        u, v = class_edge(cur, shape.v_high)
-        v_prime = sorted(shape.v_low | {u, v})
-        nxt, _ = induced_subgraph(cur, v_prime)
-        if nxt.m < 2 or nxt.n >= cur.n:
+        # strip the unique adjacent low-degree pair (cases 3 and 4) or keep
+        # the low class plus the high pair (case 2), and keep going
+        step = chain_step(STEP_SPARSE_VH if case == 2 else STEP_SPARSE_VL, {}, cur, deletion)
+        if step.source_h.m < 2 or step.source_h.n >= cur.n:
             raise ContractViolationError(
-                f"the high-pair remainder of {cur!r} lost the edge guarantee"
+                f"the {step.step} remainder of {cur!r} lost the edge guarantee"
             )
-        steps.append(
-            ReductionStep(
-                step=STEP_SPARSE_VH,
-                params={"high_pair": [u, v], "v_prime": v_prime},
-                source_h=nxt,
-                source_kind=deletion,
-                target_h=cur,
-                target_kind=deletion,
-            )
-        )
-        cur = nxt
+        steps.append(step)
+        cur = step.source_h
 
 
 def _run_deletion_churn(cur: Graph, steps: list[ReductionStep]) -> Graph:
@@ -357,7 +298,7 @@ def build_chain(h: Graph, kind: ModificationKind) -> tuple[tuple[ReductionStep, 
         comp = complement(h)
         if comp.m < 2:
             raise ValueError("completion chains need at least 2 non-edges")
-        first = _complement_step(h, ModificationKind.COMPLETION)
+        first = chain_step(STEP_COMPLEMENT, {}, h, ModificationKind.COMPLETION)
         rest, base = _deletion_chain(comp)
         steps = [first, *rest]
     base.validate()

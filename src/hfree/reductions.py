@@ -4,8 +4,9 @@ Each operation takes a concrete instance of a smaller pattern's problem and
 produces an instance of a bigger pattern's problem with the same budget k,
 plus a ReductionStep describing what happened (including per-copy branch or
 clique records, so the output can be audited structurally).  STEPS maps
-every step name to the operation that runs it; chain replay and
-`hfree reduce` both dispatch through it.
+every step name to the source problem it lifts from and the operation that
+runs it; classify builds its chain steps from it (`chain_step`), and chain
+replay and `hfree reduce` both dispatch through it.
 
 The two workhorse constructions attach, for every placement of a fixed
 sub-pattern inside the host's vertex set, k+1 fresh "branches" completing
@@ -30,6 +31,7 @@ from .graphs import (
     enumerate_pattern_copies,
     induced_subgraph,
     isomorphism_extending,
+    path,
     t_diamond,
 )
 from .problems import (
@@ -44,6 +46,7 @@ from .problems import (
     ContractViolationError,
     Instance,
     ModificationKind,
+    SparseLH,
     class_edge,
     recognize_sparse_lh,
 )
@@ -293,7 +296,7 @@ def construct_tdiamond(g_prime: Graph, k: int) -> tuple[Graph, list[CliqueRecord
 
 
 # ---------------------------------------------------------------------------
-# instance-level reductions
+# instance-level reductions and the step table
 
 def _require_iso(got: Graph, want: Graph, what: str) -> None:
     if not are_isomorphic(got, want):
@@ -303,16 +306,20 @@ def _require_iso(got: Graph, want: Graph, what: str) -> None:
         )
 
 
-def _execution(inst: Instance, out: Instance, metadata: dict[str, Any]) -> StepExecution:
-    return StepExecution(
-        input_summary=inst.summary(),
-        output_summary=out.summary(),
-        metadata=metadata,
+def _lifted(
+    name: str, params: dict[str, Any], inst: Instance, out: Instance, metadata: dict[str, Any]
+) -> tuple[Instance, ReductionStep]:
+    """`out`, with the executed step `name` that lifted `inst` to it."""
+    step = ReductionStep(
+        step=name,
+        params=params,
+        source_h=inst.h,
+        source_kind=inst.kind,
+        target_h=out.h,
+        target_kind=out.kind,
+        execution=StepExecution(inst.summary(), out.summary(), metadata),
     )
-
-
-def _branch_metadata(records: list[BranchRecord]) -> dict[str, Any]:
-    return {"branch_records": [r.to_obj() for r in records]}
+    return out, step
 
 
 def complement_reduce(inst: Instance) -> tuple[Instance, ReductionStep]:
@@ -320,22 +327,8 @@ def complement_reduce(inst: Instance) -> tuple[Instance, ReductionStep]:
     host complement over the construction caps is refused unbuilt."""
     n = inst.g.n
     _check_size("the complement", n, comb(n, 2) - inst.g.m)
-    out = Instance(
-        g=complement(inst.g),
-        k=inst.k,
-        h=complement(inst.h),
-        kind=inst.kind.flipped(),
-    )
-    step = ReductionStep(
-        step=STEP_COMPLEMENT,
-        params={},
-        source_h=inst.h,
-        source_kind=inst.kind,
-        target_h=out.h,
-        target_kind=out.kind,
-        execution=_execution(inst, out, {}),
-    )
-    return out, step
+    out = Instance(complement(inst.g), inst.k, complement(inst.h), inst.kind.flipped())
+    return _lifted(STEP_COMPLEMENT, {}, inst, out, {})
 
 
 def _through_complement(
@@ -349,43 +342,225 @@ def _through_complement(
     flipped, step_in = complement_reduce(inst)
     mid, step_mid = inner(flipped)
     out, step_out = complement_reduce(mid)
-    step = ReductionStep(
-        step=name,
-        params=params,
-        source_h=inst.h,
-        source_kind=inst.kind,
-        target_h=out.h,
-        target_kind=out.kind,
-        execution=_execution(
-            inst,
-            out,
-            {"composite": [step_in.to_obj(), step_mid.to_obj(), step_out.to_obj()]},
-        ),
-    )
-    return out, step
+    composite = [step_in.to_obj(), step_mid.to_obj(), step_out.to_obj()]
+    return _lifted(name, params, inst, out, {"composite": composite})
 
 
-def _construct_step(
-    inst: Instance, h: Graph, v_prime, joined: bool
-) -> tuple[Instance, ReductionStep]:
-    """Lift an instance for h[v_prime] to one for h with construct_adj
-    (joined) or construct_nonadj, keeping the modification kind."""
-    name = STEP_CONSTRUCT_ADJ if joined else STEP_CONSTRUCT_NONADJ
-    sub, _ = induced_subgraph(h, v_prime)
-    _require_iso(inst.h, sub, f"step {name}")
-    build = construct_adj if joined else construct_nonadj
-    g, records = build(inst.g, inst.k, h, v_prime)
-    out = Instance(g=g, k=inst.k, h=h, kind=inst.kind)
-    step = ReductionStep(
-        step=name,
-        params={"v_prime": v_prime},
-        source_h=inst.h,
-        source_kind=inst.kind,
-        target_h=h,
-        target_kind=inst.kind,
-        execution=_execution(inst, out, _branch_metadata(records)),
+@dataclass(frozen=True)
+class _Branches:
+    """How a branch step lifts the problem for h[v_prime] to the one for h,
+    keeping the kind: the params the step records, the name its errors
+    give, and the construction, which is construct_adj when `joined`,
+    construct_nonadj otherwise, or, with `inner` set, that (step, params)
+    run on the complement pattern between two complement hops.  With
+    `own_source` the step records h[v_prime] itself as its source pattern,
+    whatever labels the instance's pattern carries."""
+
+    v_prime: list[int]
+    params: dict[str, Any]
+    what: str
+    joined: bool = False
+    inner: tuple[str, dict[str, Any]] | None = None
+    own_source: bool = False
+
+
+def _degree_branches(h: Graph, kind: ModificationKind, params: dict[str, Any]) -> _Branches:
+    d = params["d"]
+    if params.get("variant", "min") == "max":
+        v_prime = [v for v in h.vertices if h.degree(v) < d]
+        side, what = "above the maximum", "degree reduction (max side)"
+        # the min side of the complement pattern, whose degrees are n-1-deg
+        inner = (STEP_DEGREE, {"d": h.n - 1 - d, "variant": "min"})
+    else:
+        v_prime = [v for v in h.vertices if h.degree(v) > d]
+        side, what, inner = "below the minimum", "degree reduction", None
+    if len(v_prime) == h.n:
+        raise ValueError(
+            f"degree threshold {d} is {side} degree of {h!r}; "
+            "the reduction would be a no-op"
+        )
+    variant = "min" if inner is None else "max"
+    return _Branches(v_prime, {"d": d, "variant": variant}, what, inner=inner)
+
+
+def _sparse_shape(h: Graph, what: str) -> SparseLH:
+    shape = recognize_sparse_lh(h)
+    if shape is None:
+        raise ValueError(f"{what}: {h!r} is not a sparse two-degree pattern")
+    return shape
+
+
+def _deletion_only(kind: ModificationKind, what: str) -> None:
+    if kind is not ModificationKind.DELETION:
+        raise ValueError(f"{what} only applies to deletion")
+
+
+def _low_pair_branches(h: Graph, kind: ModificationKind, params: dict[str, Any]) -> _Branches:
+    what = "low-pair reduction"
+    shape = _sparse_shape(h, what)
+    if shape.edges_in_low != 1:
+        raise ValueError(f"{what} needs exactly one edge in the low class")
+    _deletion_only(kind, what)
+    u, v = class_edge(h, shape.v_low)
+    v_prime = [w for w in h.vertices if w not in (u, v)]
+    return _Branches(v_prime, {"low_pair": [u, v]}, what)
+
+
+def _high_pair_branches(h: Graph, kind: ModificationKind, params: dict[str, Any]) -> _Branches:
+    what = "high-pair reduction"
+    shape = _sparse_shape(h, what)
+    if shape.edges_in_high != 1 or shape.edges_in_low != 0:
+        raise ValueError(
+            f"{what} needs the single within-class edge in the high class"
+        )
+    if h.n >= 4 and are_isomorphic(h, t_diamond(h.n - 2)):
+        raise ValueError("clique-joined patterns take the induction route instead")
+    _deletion_only(kind, what)
+    u, v = class_edge(h, shape.v_high)
+    v_prime = sorted(shape.v_low | {u, v})
+    return _Branches(
+        v_prime,
+        {"high_pair": [u, v], "v_prime": v_prime},
+        what,
+        inner=(STEP_CONSTRUCT_NONADJ, {"v_prime": v_prime}),
     )
-    return out, step
+
+
+def _case1_branches(h: Graph, kind: ModificationKind, params: dict[str, Any]) -> _Branches:
+    what = "independent-classes reduction"
+    shape = _sparse_shape(h, what)
+    if shape.edges_in_high != 0 or shape.edges_in_low != 0:
+        raise ValueError(f"{what} needs both classes edge-free")
+    if shape.low < 2:
+        raise ValueError(f"{what} needs low degree >= 2, got {shape.low}")
+    _deletion_only(kind, what)
+    for v in sorted(shape.v_high):
+        lows = sorted(w for w in h.adj[v] if w in shape.v_low)
+        if len(lows) >= 2:
+            triple = [lows[0], v, lows[1]]
+            return _Branches(
+                sorted(triple), {"triple": triple}, what, joined=True, own_source=True
+            )
+    raise ContractViolationError(
+        f"no high-centered 3-path with low endpoints exists in {h!r}"
+    )
+
+
+def _given_branches(joined: bool):
+    return lambda h, kind, params: _Branches(
+        params["v_prime"], {"v_prime": params["v_prime"]}, "branch construction", joined
+    )
+
+
+@dataclass(frozen=True)
+class StepSpec:
+    """One kind of step.  `source(h, kind, params)` derives the problem the
+    step lifts to (h, kind): it returns the source pattern, the source kind
+    and the params the step records, and raises ValueError where the step
+    does not apply.  `lift(inst, h, params)` turns an instance of that
+    source problem into one for the target pattern h and returns it with
+    the executed ReductionStep.  `params` names the step params they read;
+    `pattern` says whether the lift needs h (the other lifts derive the
+    target); `cli` says whether `hfree reduce` offers it."""
+
+    source: Callable[
+        [Any, ModificationKind, dict[str, Any]],
+        tuple[Graph, ModificationKind, dict[str, Any]],
+    ]
+    lift: Callable[[Instance, Any, dict[str, Any]], tuple[Instance, ReductionStep]]
+    params: tuple[str, ...] = ()
+    pattern: bool = True
+    cli: bool = True
+
+
+def _branch_step(
+    name: str,
+    branches: Callable[[Graph, ModificationKind, dict[str, Any]], _Branches],
+    **fields: Any,
+) -> StepSpec:
+    """The spec of a step that lifts from h[V'] by attaching branches, with
+    `branches` giving V' and the construction."""
+
+    def source(h, kind, params):
+        b = branches(h, kind, params)
+        return induced_subgraph(h, b.v_prime)[0], kind, b.params
+
+    def lift(inst, h, params):
+        b = branches(h, inst.kind, params)
+        sub, _ = induced_subgraph(h, b.v_prime)
+        _require_iso(inst.h, sub, b.what)
+        if b.own_source:
+            inst = Instance(g=inst.g, k=inst.k, h=sub, kind=inst.kind)
+        if b.inner is not None:
+            inner, inner_params = b.inner
+            return _through_complement(
+                inst,
+                name,
+                b.params,
+                lambda flipped: STEPS[inner].lift(flipped, complement(h), inner_params),
+            )
+        build = construct_adj if b.joined else construct_nonadj
+        g, records = build(inst.g, inst.k, h, b.v_prime)
+        out = Instance(g=g, k=inst.k, h=h, kind=inst.kind)
+        metadata = {"branch_records": [r.to_obj() for r in records]}
+        return _lifted(name, b.params, inst, out, metadata)
+
+    return StepSpec(source, lift, **fields)
+
+
+def _tdiamond_source(h, kind: ModificationKind, params: dict[str, Any]):
+    t = params["t"]
+    if t < 3:
+        raise ValueError(f"induction needs t >= 3, got {t}")
+    _deletion_only(kind, "the clique construction")
+    return t_diamond(t - 1), kind, {"t": t}
+
+
+def reduce_tdiamond(inst: Instance, t: int) -> tuple[Instance, ReductionStep]:
+    """Lift a (t-1)-diamond deletion instance to a t-diamond one by hanging
+    a (k+1)-clique on every host edge."""
+    source, _, params = _tdiamond_source(None, inst.kind, {"t": t})
+    _require_iso(inst.h, source, "clique induction")
+    g, records = construct_tdiamond(inst.g, inst.k)
+    out = Instance(g=g, k=inst.k, h=t_diamond(t), kind=inst.kind)
+    metadata = {"clique_records": [r.to_obj() for r in records]}
+    return _lifted(STEP_TDIAMOND, params, inst, out, metadata)
+
+
+# Every step kind.  The lifts name the reductions and constructions inside
+# their bodies, so each call goes through the module's current attributes.
+STEPS: dict[str, StepSpec] = {
+    STEP_COMPLEMENT: StepSpec(
+        lambda h, kind, p: (complement(h), kind.flipped(), {}),
+        lambda inst, h, p: complement_reduce(inst),
+        pattern=False,
+    ),
+    STEP_DEGREE: _branch_step(STEP_DEGREE, _degree_branches, params=("d",)),
+    STEP_TDIAMOND: StepSpec(
+        _tdiamond_source,
+        lambda inst, h, p: reduce_tdiamond(inst, p["t"]),
+        params=("t",),
+        pattern=False,
+    ),
+    STEP_SPARSE_VL: _branch_step(STEP_SPARSE_VL, _low_pair_branches),
+    STEP_SPARSE_VH: _branch_step(STEP_SPARSE_VH, _high_pair_branches),
+    STEP_SPARSE_CASE1: _branch_step(STEP_SPARSE_CASE1, _case1_branches),
+    STEP_CONSTRUCT_NONADJ: _branch_step(
+        STEP_CONSTRUCT_NONADJ, _given_branches(False), params=("v_prime",), cli=False
+    ),
+    STEP_CONSTRUCT_ADJ: _branch_step(
+        STEP_CONSTRUCT_ADJ, _given_branches(True), params=("v_prime",), cli=False
+    ),
+}
+
+
+def chain_step(
+    name: str, params: dict[str, Any], h: Graph, kind: ModificationKind
+) -> ReductionStep:
+    """The unexecuted step `name` into the problem (h, kind), with its
+    source problem and recorded params as STEPS derives them."""
+    source_h, source_kind, recorded = STEPS[name].source(h, kind, params)
+    return ReductionStep(name, recorded, source_h, source_kind, h, kind)
 
 
 def reduce_degree(
@@ -398,26 +573,7 @@ def reduce_degree(
     that restriction must be proper (a threshold below the whole pattern's
     minimum degree is rejected as degenerate).
     """
-    v_prime = [v for v in h.vertices if h.degree(v) > d]
-    if len(v_prime) == h.n:
-        raise ValueError(
-            f"degree threshold {d} is below the minimum degree of {h!r}; "
-            "the reduction would be a no-op"
-        )
-    sub, _ = induced_subgraph(h, v_prime)
-    _require_iso(inst.h, sub, "degree reduction")
-    g, records = construct_nonadj(inst.g, inst.k, h, v_prime)
-    out = Instance(g=g, k=inst.k, h=h, kind=inst.kind)
-    step = ReductionStep(
-        step=STEP_DEGREE,
-        params={"d": d, "variant": "min"},
-        source_h=inst.h,
-        source_kind=inst.kind,
-        target_h=h,
-        target_kind=inst.kind,
-        execution=_execution(inst, out, _branch_metadata(records)),
-    )
-    return out, step
+    return STEPS[STEP_DEGREE].lift(inst, h, {"d": d, "variant": "min"})
 
 
 def reduce_degree_max(
@@ -426,77 +582,13 @@ def reduce_degree_max(
     """Max-side companion of reduce_degree: lift from h minus its
     degree-at-least-d vertices, by running the min-side reduction on the
     complement pattern and complementing back."""
-    v_prime = [v for v in h.vertices if h.degree(v) < d]
-    if len(v_prime) == h.n:
-        raise ValueError(
-            f"degree threshold {d} is above the maximum degree of {h!r}; "
-            "the reduction would be a no-op"
-        )
-    sub, _ = induced_subgraph(h, v_prime)
-    _require_iso(inst.h, sub, "degree reduction (max side)")
-    return _through_complement(
-        inst,
-        STEP_DEGREE,
-        {"d": d, "variant": "max"},
-        lambda flipped: reduce_degree(flipped, complement(h), h.n - 1 - d),
-    )
-
-
-def reduce_tdiamond(inst: Instance, t: int) -> tuple[Instance, ReductionStep]:
-    """Lift a (t-1)-diamond deletion instance to a t-diamond one by hanging
-    a (k+1)-clique on every host edge."""
-    if t < 3:
-        raise ValueError(f"induction needs t >= 3, got {t}")
-    if inst.kind is not ModificationKind.DELETION:
-        raise ValueError("the clique construction only applies to deletion")
-    _require_iso(inst.h, t_diamond(t - 1), "clique induction")
-    g, records = construct_tdiamond(inst.g, inst.k)
-    out = Instance(g=g, k=inst.k, h=t_diamond(t), kind=ModificationKind.DELETION)
-    step = ReductionStep(
-        step=STEP_TDIAMOND,
-        params={"t": t},
-        source_h=inst.h,
-        source_kind=inst.kind,
-        target_h=out.h,
-        target_kind=out.kind,
-        execution=_execution(
-            inst, out, {"clique_records": [r.to_obj() for r in records]}
-        ),
-    )
-    return out, step
-
-
-def _sparse_shape(h: Graph, what: str):
-    shape = recognize_sparse_lh(h)
-    if shape is None:
-        raise ValueError(f"{what}: {h!r} is not a sparse two-degree pattern")
-    return shape
+    return STEPS[STEP_DEGREE].lift(inst, h, {"d": d, "variant": "max"})
 
 
 def reduce_sparse_vl(inst: Instance, h: Graph) -> tuple[Instance, ReductionStep]:
     """Lift from the pattern obtained by dropping h's adjacent low-degree
     pair (sparse shapes whose low class carries an edge)."""
-    shape = _sparse_shape(h, "low-pair reduction")
-    if shape.edges_in_low != 1:
-        raise ValueError("low-pair reduction needs exactly one edge in the low class")
-    if inst.kind is not ModificationKind.DELETION:
-        raise ValueError("low-pair reduction only applies to deletion")
-    u, v = class_edge(h, shape.v_low)
-    v_prime = [w for w in h.vertices if w not in (u, v)]
-    sub, _ = induced_subgraph(h, v_prime)
-    _require_iso(inst.h, sub, "low-pair reduction")
-    g, records = construct_nonadj(inst.g, inst.k, h, v_prime)
-    out = Instance(g=g, k=inst.k, h=h, kind=ModificationKind.DELETION)
-    step = ReductionStep(
-        step=STEP_SPARSE_VL,
-        params={"low_pair": [u, v]},
-        source_h=inst.h,
-        source_kind=inst.kind,
-        target_h=h,
-        target_kind=ModificationKind.DELETION,
-        execution=_execution(inst, out, _branch_metadata(records)),
-    )
-    return out, step
+    return STEPS[STEP_SPARSE_VL].lift(inst, h, {})
 
 
 def reduce_sparse_vh(inst: Instance, h: Graph) -> tuple[Instance, ReductionStep]:
@@ -508,25 +600,7 @@ def reduce_sparse_vh(inst: Instance, h: Graph) -> tuple[Instance, ReductionStep]
     Runs through the complement: flip to completion, attach branches for the
     complement pattern, flip back.  The emitted step records the composite.
     """
-    shape = _sparse_shape(h, "high-pair reduction")
-    if shape.edges_in_high != 1 or shape.edges_in_low != 0:
-        raise ValueError(
-            "high-pair reduction needs the single within-class edge in the high class"
-        )
-    if h.n >= 4 and are_isomorphic(h, t_diamond(h.n - 2)):
-        raise ValueError("clique-joined patterns take the induction route instead")
-    if inst.kind is not ModificationKind.DELETION:
-        raise ValueError("high-pair reduction only applies to deletion")
-    u, v = class_edge(h, shape.v_high)
-    v_prime = sorted(shape.v_low | {u, v})
-    sub, _ = induced_subgraph(h, v_prime)
-    _require_iso(inst.h, sub, "high-pair reduction")
-    return _through_complement(
-        inst,
-        STEP_SPARSE_VH,
-        {"high_pair": [u, v], "v_prime": v_prime},
-        lambda flipped: _construct_step(flipped, complement(h), v_prime, joined=False),
-    )
+    return STEPS[STEP_SPARSE_VH].lift(inst, h, {})
 
 
 def reduce_sparse_case1(
@@ -538,95 +612,13 @@ def reduce_sparse_case1(
     Picks the first center-in-high, ends-in-low induced 3-path of h and
     applies the joined-branches construction on that triple.
     """
-    shape = _sparse_shape(h, "independent-classes reduction")
-    if shape.edges_in_high != 0 or shape.edges_in_low != 0:
-        raise ValueError("independent-classes reduction needs both classes edge-free")
-    if shape.low < 2:
-        raise ValueError(
-            f"independent-classes reduction needs low degree >= 2, got {shape.low}"
-        )
-    triple = None
-    for v in sorted(shape.v_high):
-        lows = sorted(w for w in h.adj[v] if w in shape.v_low)
-        if len(lows) >= 2:
-            triple = (lows[0], v, lows[1])
-            break
-    if triple is None:
-        raise ContractViolationError(
-            f"no high-centered 3-path with low endpoints exists in {h!r}"
-        )
-    u, v, w = triple
-    sub, _ = induced_subgraph(h, sorted(triple))
-    g, records = construct_adj(g_prime, k, h, sorted(triple))
-    out = Instance(g=g, k=k, h=h, kind=ModificationKind.DELETION)
-    seed = Instance(g=g_prime, k=k, h=sub, kind=ModificationKind.DELETION)
-    step = ReductionStep(
-        step=STEP_SPARSE_CASE1,
-        params={"triple": [u, v, w]},
-        source_h=sub,
-        source_kind=ModificationKind.DELETION,
-        target_h=h,
-        target_kind=ModificationKind.DELETION,
-        execution=_execution(seed, out, _branch_metadata(records)),
-    )
-    return out, step
+    # any labelling of P3 does: the step records h's own 3-path as source
+    seed = Instance(g=g_prime, k=k, h=path(3), kind=ModificationKind.DELETION)
+    return STEPS[STEP_SPARSE_CASE1].lift(seed, h, {})
 
 
 # ---------------------------------------------------------------------------
-# the step table and chain replay
-
-def _lift_degree(inst: Instance, h: Graph, params: dict[str, Any]):
-    lift = reduce_degree_max if params.get("variant", "min") == "max" else reduce_degree
-    return lift(inst, h, params["d"])
-
-
-def _lift_case1(inst: Instance, h: Graph, params: dict[str, Any]):
-    out, step = reduce_sparse_case1(inst.g, inst.k, h)
-    if inst.kind is not out.kind or not are_isomorphic(inst.h, step.source_h):
-        raise ValueError(
-            f"{STEP_SPARSE_CASE1} input must be a deletion instance of the "
-            "pattern's high-centered 3-path"
-        )
-    return out, step
-
-
-@dataclass(frozen=True)
-class StepSpec:
-    """How one kind of step runs: `lift(inst, h, params)` turns an instance
-    of the step's source problem into one for the target pattern h, and
-    returns it with the executed ReductionStep.  `params` names the step
-    params the lift reads; `pattern` says whether it needs h (the other
-    lifts derive the target); `cli` says whether `hfree reduce` offers it."""
-
-    lift: Callable[[Instance, Any, dict[str, Any]], tuple[Instance, ReductionStep]]
-    params: tuple[str, ...] = ()
-    pattern: bool = True
-    cli: bool = True
-
-
-# Every step kind.  The lifts name the reductions and constructions inside
-# their bodies, so each call goes through the module's current attributes.
-STEPS: dict[str, StepSpec] = {
-    STEP_COMPLEMENT: StepSpec(lambda inst, h, p: complement_reduce(inst), pattern=False),
-    STEP_DEGREE: StepSpec(_lift_degree, params=("d",)),
-    STEP_TDIAMOND: StepSpec(
-        lambda inst, h, p: reduce_tdiamond(inst, p["t"]), params=("t",), pattern=False
-    ),
-    STEP_SPARSE_VL: StepSpec(lambda inst, h, p: reduce_sparse_vl(inst, h)),
-    STEP_SPARSE_VH: StepSpec(lambda inst, h, p: reduce_sparse_vh(inst, h)),
-    STEP_SPARSE_CASE1: StepSpec(_lift_case1),
-    STEP_CONSTRUCT_NONADJ: StepSpec(
-        lambda inst, h, p: _construct_step(inst, h, p["v_prime"], joined=False),
-        params=("v_prime",),
-        cli=False,
-    ),
-    STEP_CONSTRUCT_ADJ: StepSpec(
-        lambda inst, h, p: _construct_step(inst, h, p["v_prime"], joined=True),
-        params=("v_prime",),
-        cli=False,
-    ),
-}
-
+# chain replay
 
 def apply_step(step: ReductionStep, inst: Instance) -> Instance:
     """Execute one chain step on an instance of its source problem."""

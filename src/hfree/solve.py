@@ -147,11 +147,11 @@ def solve_branching(
     path, so each leaf's accumulated pair set is exactly its symmetric
     difference from g.  The current graph is a single mutable host: each
     branch toggles its pair's two mask bits and toggles them back on
-    return, so a node costs one copy search and no graph rebuild.
+    backtrack, so a node costs one copy search and no graph rebuild.  The
+    open nodes live on an explicit stack, so any budget fits.
     """
     if k < 0:
         raise ValueError(f"budget must be non-negative, got {k}")
-    stats = {"nodes": 0, "copies": 0}
     cur = _ToggledHost(g)
     path: list[Edge] = []
 
@@ -166,31 +166,29 @@ def solve_branching(
             return absent
         return sorted(present + absent)
 
-    def search(budget: int) -> bool:
-        stats["nodes"] += 1
+    # frames[d] holds the untried edits of the open node at depth d, last
+    # first (none at depth k).  Popping them visits the nodes in the order
+    # of a recursive search, with no Python call frame per level.
+    frames: list[list[Edge]] = []
+    nodes = copies = 0
+    while True:
+        nodes += 1
         copy = find_induced_copy(cur, h)
         if copy is None:
-            return True
-        stats["copies"] += 1
-        if budget == 0:
-            return False
-        for pair in candidates(copy):
-            if pair in path:
-                continue
-            cur.toggle(pair)
-            path.append(pair)
-            found = search(budget - 1)
-            cur.toggle(pair)
-            if found:
-                return True
-            path.pop()
-        return False
-
-    found = search(k)
-    stats_obj = SolveStats(stats["nodes"], stats["copies"])
-    if not found:
-        return SolveResult(answer=False, witness=None, stats=stats_obj)
-    return SolveResult(answer=True, witness=_split_edits(g, path), stats=stats_obj)
+            return SolveResult(True, _split_edits(g, path), SolveStats(nodes, copies))
+        copies += 1
+        untried = []
+        if len(path) < k:
+            untried = [p for p in reversed(candidates(copy)) if p not in path]
+        frames.append(untried)
+        while not frames[-1]:
+            frames.pop()
+            if not frames:
+                return SolveResult(False, None, SolveStats(nodes, copies))
+            cur.toggle(path.pop())
+        pair = frames[-1].pop()
+        cur.toggle(pair)
+        path.append(pair)
 
 
 def solve_instance(inst: Instance, engine: str = "branch") -> SolveResult:

@@ -13,7 +13,6 @@ enumeration order so worker count never changes the output.
 """
 from __future__ import annotations
 
-import dataclasses
 import random
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable
@@ -48,6 +47,7 @@ from .graphs import (
 )
 from .problems import (
     STEP_DEGREE,
+    STEP_SPARSE_CASE1,
     ContractViolationError,
     Instance,
     ModificationKind,
@@ -58,10 +58,10 @@ from .reductions import (
     apply_step,
     audit_branch_construction,
     audit_clique_construction,
+    chain_step,
     construct_adj,
     construct_nonadj,
     construct_tdiamond,
-    reduce_sparse_case1,
     replay_chain,
 )
 from .smallgraphs import find_sparse_witness, graphs_up_to, graphs_with_vertex_count
@@ -161,22 +161,11 @@ def _campaign_problems(report: dict[str, Any]) -> int:
 # suite definitions
 
 def _degree_steps() -> list[ReductionStep]:
-    steps = []
-    for h, d in ((t_diamond(2), 2), (path(5), 1)):
-        v_prime = [v for v in h.vertices if h.degree(v) > d]
-        sub, _ = induced_subgraph(h, v_prime)
-        for kind in ModificationKind:
-            steps.append(
-                ReductionStep(
-                    step=STEP_DEGREE,
-                    params={"d": d, "variant": "min"},
-                    source_h=sub,
-                    source_kind=kind,
-                    target_h=h,
-                    target_kind=kind,
-                )
-            )
-    return steps
+    return [
+        chain_step(STEP_DEGREE, {"d": d, "variant": "min"}, h, kind)
+        for h, d in ((t_diamond(2), 2), (path(5), 1))
+        for kind in ModificationKind
+    ]
 
 
 def _first_step(
@@ -188,9 +177,9 @@ def _first_step(
 
 
 def _case1_steps() -> list[ReductionStep]:
+    # the classifier never emits this step: case 1 is an anchor
     h = join(null_graph(2), null_graph(3))
-    _, step = reduce_sparse_case1(null_graph(1), 1, h)
-    return [dataclasses.replace(step, execution=None)]
+    return [chain_step(STEP_SPARSE_CASE1, {}, h, ModificationKind.DELETION)]
 
 
 def _complement_steps() -> list[ReductionStep]:

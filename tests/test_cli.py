@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from hfree import cli
 from hfree.cli import build_parser, main
 from hfree.formats import serialize_graph6, serialize_graph_json
 from hfree.graphs import cycle, path, t_diamond
@@ -185,6 +186,21 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     bad_inst = write(tmp_path, "bad.json", '{"graph": 5}')
     code, _, err = run(capsys, ["solve", "--input", bad_inst])
     assert code == 2
+
+
+def test_unexpected_errors_exit_2(tmp_path, capsys, monkeypatch):
+    # exit code 1 means "no", so an error of a kind no handler names must
+    # still come out as 2
+    def broken(inst, engine):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "solve_instance", broken)
+    inst = instance_file(
+        tmp_path, "in.json", path(4), 1, path(3), ModificationKind.DELETION
+    )
+    code, out, err = run(capsys, ["solve", "--input", inst])
+    assert code == 2 and out == ""
+    assert err == "error: 'boom'\n"
 
 
 def test_verify_suite_report(tmp_path, capsys):

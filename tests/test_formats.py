@@ -1,7 +1,11 @@
 """graph6 and JSON graph IO."""
 import json
+import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfree.formats import (
     GraphParseError,
@@ -12,7 +16,7 @@ from hfree.formats import (
     serialize_graph6,
     serialize_graph_json,
 )
-from hfree.graphs import complete, graph_from_edges, null_graph, path
+from hfree.graphs import Graph, complete, graph_from_edges, null_graph, path
 from hfree.smallgraphs import graphs_up_to
 
 
@@ -56,6 +60,31 @@ def test_large_n_uses_long_form():
     assert not s.startswith("~~")
     assert parse_graph6(s) == g
     assert parse_graph6(serialize_graph6(null_graph(200))) == null_graph(200)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 70),
+    st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    st.integers(0, 2**32),
+)
+def test_graph6_agrees_with_networkx(n, density, seed):
+    # n runs past 62, where the vertex count switches to the long form
+    rng = random.Random(seed)
+    g = Graph(
+        n,
+        frozenset(
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+        ),
+    )
+    nx_g = nx.Graph()
+    nx_g.add_nodes_from(range(n))
+    nx_g.add_edges_from(g.edges)
+    text = serialize_graph6(g)
+    assert text.encode() + b"\n" == nx.to_graph6_bytes(nx_g, header=False)
+    back = nx.from_graph6_bytes(text.encode())
+    assert back.number_of_nodes() == n
+    assert parse_graph6(text) == Graph(n, frozenset(tuple(sorted(e)) for e in back.edges))
 
 
 def test_parse_errors_carry_offsets():

@@ -1,5 +1,7 @@
 """Instance constructions, single reduction steps, replay, and audits."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfree.graphs import (
     are_isomorphic,
@@ -22,16 +24,19 @@ from hfree.problems import (
     STEP_COMPLEMENT,
     STEP_CONSTRUCT_ADJ,
     STEP_CONSTRUCT_NONADJ,
+    STEP_DEGREE,
     STEP_SPARSE_CASE1,
     STEP_SPARSE_VH,
     STEP_SPARSE_VL,
     STEP_TDIAMOND,
     instance_from_obj,
 )
+from hfree.classify import build_chain, classify
 from hfree.reductions import (
     ConstructionCapExceeded,
     ReductionStep,
     apply_step,
+    chain_step,
     audit_branch_construction,
     audit_clique_construction,
     complement_reduce,
@@ -304,7 +309,8 @@ def test_reduce_sparse_vh_rejects_clique_joined_patterns():
 def test_reduce_sparse_case1_frozen():
     out, step = reduce_sparse_case1(complete(2), 1, k23())
     assert step.step == STEP_SPARSE_CASE1
-    assert are_isomorphic(step.source_h, path(3))
+    # the source is the pattern's own 3-path, labelled as in k23, not path(3)
+    assert step.source_h == graph_from_edges(3, [(0, 1), (0, 2)])
     lo, center, hi = step.params["triple"]
     assert k23().degree(center) == 3
     assert k23().degree(lo) == k23().degree(hi) == 2
@@ -428,6 +434,60 @@ def test_full_chain_replay_tdiamond4():
     final = replay_chain(chain, seed)
     assert are_isomorphic(final.h, t_diamond(4))
     assert final.k == 2 and final.kind is DEL
+
+
+def test_chain_step_derives_the_source_problem():
+    step = chain_step(STEP_DEGREE, {"d": 1, "variant": "min"}, path(5), DEL)
+    assert (step.source_h, step.source_kind) == (path(3), DEL)
+    assert (step.target_h, step.target_kind) == (path(5), DEL)
+    # the max side keeps the degree-2 vertices of the bowtie, a 2K2
+    bowtie = graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+    step = chain_step(STEP_DEGREE, {"d": 4, "variant": "max"}, bowtie, DEL)
+    assert step.source_h == graph_from_edges(4, [(0, 1), (2, 3)])
+    step = chain_step(STEP_COMPLEMENT, {}, path(4), ModificationKind.COMPLETION)
+    assert (step.source_h, step.source_kind) == (complement(path(4)), DEL)
+    assert chain_step(STEP_TDIAMOND, {"t": 3}, t_diamond(3), DEL).source_h == diamond()
+    step = chain_step(STEP_SPARSE_CASE1, {}, k23(), DEL)
+    assert step.params == {"triple": [2, 0, 3]}
+    assert step.source_h == graph_from_edges(3, [(0, 1), (0, 2)])
+    w = find_sparse_witness(0, 1)
+    step = chain_step(STEP_SPARSE_VL, {}, w, DEL)
+    assert step.source_h.n == w.n - 2
+    assert set(step.params) == {"low_pair"}
+    for name, params, h, kind in (
+        (STEP_SPARSE_VL, {}, w, ModificationKind.EDITING),
+        (STEP_SPARSE_VH, {}, t_diamond(3), DEL),
+        (STEP_TDIAMOND, {"t": 2}, diamond(), DEL),
+        (STEP_DEGREE, {"d": 0, "variant": "min"}, path(3), DEL),
+    ):
+        with pytest.raises(ValueError):
+            chain_step(name, params, h, kind)
+
+
+HARD_PROBLEMS = [
+    (h, kind)
+    for h in graphs_up_to(5)
+    for kind in ModificationKind
+    if classify(h, kind).verdict == "NPComplete"
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(HARD_PROBLEMS),
+    st.sampled_from(list(graphs_up_to(4))),
+    st.integers(1, 2),
+)
+def test_replay_keeps_k_and_reaches_the_pattern(problem, host, k):
+    h, kind = problem
+    chain, base = build_chain(h, kind)
+    seed = Instance(g=host, k=k, h=base.graph, kind=base.kind)
+    try:
+        out = replay_chain(chain, seed)
+    except ConstructionCapExceeded:
+        return
+    assert out.k == k and out.kind is kind
+    assert are_isomorphic(out.h, h)
 
 
 def test_construction_size_matches_built_outputs():

@@ -1,5 +1,8 @@
 """Exhaustive small-graph enumeration and sparse witness search."""
 import itertools
+from collections import defaultdict
+
+import networkx as nx
 
 from hfree.classify import recognize_sparse_lh, sparse_case
 from hfree.formats import serialize_graph6
@@ -17,6 +20,35 @@ COUNTS = [1, 2, 4, 11, 34, 156]
 def test_enumeration_counts():
     for n, want in enumerate(COUNTS, start=1):
         assert len(graphs_with_vertex_count(n)) == want
+
+
+def _invariant(g: nx.Graph):
+    degrees = tuple(sorted(d for _, d in g.degree()))
+    return degrees, tuple(sorted(nx.triangles(g).values()))
+
+
+def test_enumeration_matches_the_networkx_atlas():
+    # networkx's atlas lists every graph on 0..7 vertices once, up to
+    # isomorphism: 1253 in all.  Pair each atlas graph with the one
+    # enumerated graph that networkx finds isomorphic to it.
+    atlas = defaultdict(list)
+    for a in nx.graph_atlas_g():
+        atlas[a.number_of_nodes()].append(a)
+    assert sum(map(len, atlas.values())) == 1253
+    for n in range(1, 8):
+        ours = defaultdict(list)
+        for g in graphs_with_vertex_count(n):
+            nx_g = nx.Graph()
+            nx_g.add_nodes_from(g.vertices)
+            nx_g.add_edges_from(g.edges)
+            ours[_invariant(nx_g)].append(nx_g)
+        assert sum(map(len, ours.values())) == len(atlas[n])
+        for a in atlas[n]:
+            bucket = ours[_invariant(a)]
+            hits = [g for g in bucket if nx.is_isomorphic(a, g)]
+            assert len(hits) == 1
+            bucket.remove(hits[0])
+        assert not any(ours.values())
 
 
 def test_enumeration_is_isomorphism_free():

@@ -169,6 +169,15 @@ def test_stats_are_reported():
     assert r.stats.copies_found > 0
 
 
+def test_branching_handles_deep_budgets():
+    # K40,40 needs 1599 deletions to lose its last induced P3; the search
+    # goes that deep on its first branch
+    g = Graph(80, frozenset((i, 40 + j) for i in range(40) for j in range(40)))
+    r = solve_branching(g, 1600, path(3), DEL)
+    assert r.answer is True and r.witness.size == 1599
+    assert check_witness(g, 1600, path(3), DEL, r.witness)
+
+
 GOLDEN_PROBLEMS = {
     "p3-deletion": (path(3), DEL),
     "p4-editing": (path(4), ModificationKind.EDITING),
