@@ -11,31 +11,22 @@ concrete seed instance (see `hfree.reductions.replay_chain`).
 
 The chains are produced by two "churn" procedures that repeatedly strip
 extreme-degree vertex classes from the pattern (each strip is one
-degree-reduce step) until the remainder is structurally recognizable, plus
-dedicated handling for the sparse two-degree remainders.
+degree-reduce chain step, each complement toggle one complement-problem
+step) until the remainder is structurally recognizable, plus dedicated
+handling for the sparse two-degree remainders.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Any
 
-from .graphs import (
-    Graph,
-    are_isomorphic,
-    complement,
-    degree_profile,
-    induced_subgraph,
-    is_forest,
-    is_regular,
-    path,
-    t_diamond,
-)
+from .formats import graph_to_obj
+from .graphs import Graph, is_forest, is_regular
 from .problems import (
+    ANCHORS,
     BASE_DIAMOND_DELETION,
-    BASE_DIAMOND_EDITING,
     BASE_P3_DELETION,
-    BASE_P3_EDITING,
-    BASE_P4_EDITING,
     BASE_REGULAR_EDITING,
     BASE_SPARSE_CASE1_DELETION,
     BASE_TREE_OR_REGULAR_DELETION,
@@ -60,20 +51,47 @@ CHURN_COMPLEMENT = "complement-toggle"
 CHURN_DELETE_MIN = "delete-min-degree"
 CHURN_DELETE_MAX = "delete-max-degree"
 
+_EDITING_ANCHORS = tuple(
+    name for name, (kind, _) in ANCHORS.items() if kind is ModificationKind.EDITING
+)
+
+
+def _first_anchor(g: Graph, names: tuple[str, ...]) -> str | None:
+    """The first of the anchors `names` whose premise g meets, or None."""
+    return next((name for name in names if ANCHORS[name][1](g)), None)
+
 
 @dataclass(frozen=True)
 class ChurnStep:
-    """One stage of a churn run: before -> after, with the degree stripped
-    (None for a complement toggle)."""
+    """One stage of a churn run: the chain step that strips a degree class
+    (degree-reduce) or toggles to the complement (complement-problem).
+    The stage goes from the step's target pattern (before) to its source
+    pattern (after)."""
 
-    kind: str
-    degree: int | None
-    before: Graph
-    after: Graph
+    step: ReductionStep
+
+    @property
+    def kind(self) -> str:
+        if self.step.step == STEP_COMPLEMENT:
+            return CHURN_COMPLEMENT
+        if self.step.params["variant"] == "min":
+            return CHURN_DELETE_MIN
+        return CHURN_DELETE_MAX
+
+    @property
+    def degree(self) -> int | None:
+        """The degree stripped; None for a complement toggle."""
+        return self.step.params.get("d")
+
+    @property
+    def before(self) -> Graph:
+        return self.step.target_h
+
+    @property
+    def after(self) -> Graph:
+        return self.step.source_h
 
     def to_obj(self) -> dict[str, Any]:
-        from .formats import graph_to_obj
-
         obj: dict[str, Any] = {
             "kind": self.kind,
             "before": graph_to_obj(self.before),
@@ -84,55 +102,41 @@ class ChurnStep:
         return obj
 
 
-def _is_p3(g: Graph) -> bool:
-    return are_isomorphic(g, path(3))
-
-
-def _is_p4(g: Graph) -> bool:
-    return are_isomorphic(g, path(4))
-
-
-def _is_diamond(g: Graph) -> bool:
-    return are_isomorphic(g, t_diamond(2))
-
-
 def editing_churn(h: Graph) -> tuple[Graph, list[ChurnStep]]:
     """Strip the pattern down to an editing-terminal form.
 
-    Loop: stop on a regular graph, P3, P4, or the diamond; otherwise, if at
-    most two vertices exceed the minimum degree, toggle to the complement;
-    otherwise delete the whole minimum-degree class.  Every intermediate
-    keeps at least three vertices, and two complement toggles can never be
-    forced back to back; both guarantees are checked and violations raise
-    ContractViolationError.
+    Loop: stop on a regular graph or an editing anchor (P3, P4, the
+    diamond); otherwise, if at most two vertices exceed the minimum degree,
+    toggle to the complement; otherwise delete the whole minimum-degree
+    class.  Every intermediate keeps at least three vertices, and two
+    complement toggles can never be forced back to back; both guarantees
+    are checked and violations raise ContractViolationError.
     """
     if h.n < 3:
         raise ValueError("editing churn needs a pattern with at least 3 vertices")
+    editing = ModificationKind.EDITING
     steps: list[ChurnStep] = []
     cur = h
     just_toggled = False
     while True:
-        if is_regular(cur) or _is_p3(cur) or _is_p4(cur) or _is_diamond(cur):
+        if is_regular(cur) or _first_anchor(cur, _EDITING_ANCHORS) is not None:
             return cur, steps
-        prof = degree_profile(cur)
-        above_min = [v for v in cur.vertices if cur.degree(v) > prof.min_degree]
-        if len(above_min) <= 2:
+        low = min(cur.degrees)
+        if sum(1 for d in cur.degrees if d > low) <= 2:
             if just_toggled:
                 raise ContractViolationError(
                     "editing churn would toggle complements forever; "
                     f"offending intermediate: {cur!r}"
                 )
-            nxt = complement(cur)
-            steps.append(ChurnStep(CHURN_COMPLEMENT, None, cur, nxt))
-            cur = nxt
+            step = chain_step(STEP_COMPLEMENT, {}, cur, editing)
             just_toggled = True
-            continue
-        nxt, _ = induced_subgraph(cur, above_min)
-        if nxt.n < 3:
-            raise ContractViolationError("editing churn dropped below 3 vertices")
-        steps.append(ChurnStep(CHURN_DELETE_MIN, prof.min_degree, cur, nxt))
-        cur = nxt
-        just_toggled = False
+        else:
+            step = chain_step(STEP_DEGREE, {"d": low, "variant": "min"}, cur, editing)
+            if step.source_h.n < 3:
+                raise ContractViolationError("editing churn dropped below 3 vertices")
+            just_toggled = False
+        steps.append(ChurnStep(step))
+        cur = step.source_h
 
 
 def deletion_churn(h: Graph) -> tuple[Graph, list[ChurnStep]]:
@@ -147,24 +151,19 @@ def deletion_churn(h: Graph) -> tuple[Graph, list[ChurnStep]]:
     """
     if h.m < 2:
         raise ValueError("deletion churn needs a pattern with at least 2 edges")
+    deletion = ModificationKind.DELETION
     steps: list[ChurnStep] = []
     cur = h
     while True:
-        prof = degree_profile(cur)
-        above = [v for v in cur.vertices if cur.degree(v) > prof.min_degree]
-        below = [v for v in cur.vertices if cur.degree(v) < prof.max_degree]
-        above_g, _ = induced_subgraph(cur, above)
-        below_g, _ = induced_subgraph(cur, below)
-        if above_g.m <= 1 and below_g.m <= 1:
-            return cur, steps
-        if above_g.m >= 2:
-            steps.append(ChurnStep(CHURN_DELETE_MIN, prof.min_degree, cur, above_g))
-            cur = above_g
-        else:
-            steps.append(ChurnStep(CHURN_DELETE_MAX, prof.max_degree, cur, below_g))
-            cur = below_g
-        if cur.m < 2:
-            raise ContractViolationError("deletion churn dropped below 2 edges")
+        params = {"d": min(cur.degrees), "variant": "min"}
+        step = chain_step(STEP_DEGREE, params, cur, deletion)
+        if step.source_h.m <= 1:
+            params = {"d": max(cur.degrees), "variant": "max"}
+            step = chain_step(STEP_DEGREE, params, cur, deletion)
+            if step.source_h.m <= 1:
+                return cur, steps
+        steps.append(ChurnStep(step))
+        cur = step.source_h
 
 
 # ---------------------------------------------------------------------------
@@ -187,39 +186,18 @@ class Classification:
         }
 
 
-def _degree_step(cs: ChurnStep, kind: ModificationKind) -> ReductionStep:
-    variant = "min" if cs.kind == CHURN_DELETE_MIN else "max"
-    return chain_step(STEP_DEGREE, {"d": cs.degree, "variant": variant}, cs.before, kind)
-
-
 def _editing_chain(h: Graph) -> tuple[list[ReductionStep], BaseProblem]:
     terminal, churn_steps = editing_churn(h)
-    editing = ModificationKind.EDITING
-    steps: list[ReductionStep] = []
-    for cs in churn_steps:
-        if cs.kind == CHURN_COMPLEMENT:
-            steps.append(chain_step(STEP_COMPLEMENT, {}, cs.before, editing))
-        else:
-            steps.append(_degree_step(cs, editing))
-    if _is_p3(terminal):
-        return steps, BaseProblem(BASE_P3_EDITING, terminal)
-    if _is_p4(terminal):
-        return steps, BaseProblem(BASE_P4_EDITING, terminal)
-    if _is_diamond(terminal):
-        return steps, BaseProblem(BASE_DIAMOND_EDITING, terminal)
+    steps = [cs.step for cs in churn_steps]
+    name = _first_anchor(terminal, _EDITING_ANCHORS)
+    if name is not None:
+        return steps, BaseProblem(name, terminal)
     if not is_regular(terminal):
         raise ContractViolationError(f"editing terminal {terminal!r} is not recognized")
-    if terminal.m >= 2:
-        return steps, BaseProblem(BASE_REGULAR_EDITING, terminal)
     # A regular terminal with under two edges is a null graph; its
     # complement is complete, so one more complement hop anchors there.
-    comp = complement(terminal)
-    if comp.m < 2:
-        raise ContractViolationError(
-            f"editing terminal {terminal!r} and its complement are both near-empty"
-        )
-    steps.append(chain_step(STEP_COMPLEMENT, {}, terminal, editing))
-    return steps, BaseProblem(BASE_REGULAR_EDITING, comp)
+    steps.append(chain_step(STEP_COMPLEMENT, {}, terminal, ModificationKind.EDITING))
+    return steps, BaseProblem(BASE_REGULAR_EDITING, steps[-1].source_h)
 
 
 def _deletion_chain(h: Graph) -> tuple[list[ReductionStep], BaseProblem]:
@@ -227,11 +205,11 @@ def _deletion_chain(h: Graph) -> tuple[list[ReductionStep], BaseProblem]:
     steps: list[ReductionStep] = []
     cur = h
     while True:
-        cur = _run_deletion_churn(cur, steps)
-        if _is_p3(cur):
-            return steps, BaseProblem(BASE_P3_DELETION, cur)
-        if _is_diamond(cur):
-            return steps, BaseProblem(BASE_DIAMOND_DELETION, cur)
+        cur, churn_steps = deletion_churn(cur)
+        steps.extend(cs.step for cs in churn_steps)
+        name = _first_anchor(cur, (BASE_P3_DELETION, BASE_DIAMOND_DELETION))
+        if name is not None:
+            return steps, BaseProblem(name, cur)
         if is_regular(cur) or is_forest(cur):
             return steps, BaseProblem(BASE_TREE_OR_REGULAR_DELETION, cur)
         shape = recognize_sparse_lh(cur)
@@ -254,12 +232,10 @@ def _deletion_chain(h: Graph) -> tuple[list[ReductionStep], BaseProblem]:
         case = sparse_case(shape)
         if case == 1:
             return steps, BaseProblem(BASE_SPARSE_CASE1_DELETION, cur)
-        t = cur.n - 2
-        if case == 2 and t >= 2 and are_isomorphic(cur, t_diamond(t)):
-            while t > 2:
+        if shape.is_t_diamond:
+            for t in range(cur.n - 2, 2, -1):
                 steps.append(chain_step(STEP_TDIAMOND, {"t": t}, cur, deletion))
                 cur = steps[-1].source_h
-                t -= 1
             return steps, BaseProblem(BASE_DIAMOND_DELETION, cur)
         # strip the unique adjacent low-degree pair (cases 3 and 4) or keep
         # the low class plus the high pair (case 2), and keep going
@@ -272,11 +248,14 @@ def _deletion_chain(h: Graph) -> tuple[list[ReductionStep], BaseProblem]:
         cur = step.source_h
 
 
-def _run_deletion_churn(cur: Graph, steps: list[ReductionStep]) -> Graph:
-    terminal, churn_steps = deletion_churn(cur)
-    for cs in churn_steps:
-        steps.append(_degree_step(cs, ModificationKind.DELETION))
-    return terminal
+def _polynomial_reason(h: Graph, kind: ModificationKind) -> str | None:
+    """Why the problem for (h, kind) is polynomial, or None when it is in
+    the NP-complete regime."""
+    if kind is ModificationKind.EDITING:
+        return REASON_AT_MOST_TWO_VERTICES if h.n <= 2 else None
+    if kind is ModificationKind.DELETION:
+        return REASON_AT_MOST_ONE_EDGE if h.m <= 1 else None
+    return REASON_AT_MOST_ONE_NON_EDGE if comb(h.n, 2) - h.m <= 1 else None
 
 
 def build_chain(h: Graph, kind: ModificationKind) -> tuple[tuple[ReductionStep, ...], BaseProblem]:
@@ -286,20 +265,16 @@ def build_chain(h: Graph, kind: ModificationKind) -> tuple[tuple[ReductionStep, 
     of entry i-1 (or to (h, kind) itself for i = 0).  Requires the
     NP-complete regime; polynomial patterns are rejected.
     """
+    reason = _polynomial_reason(h, kind)
+    if reason is not None:
+        raise ValueError(f"{kind.value} is polynomial for this pattern ({reason}); it has no chain")
     if kind is ModificationKind.EDITING:
-        if h.n < 3:
-            raise ValueError("editing chains need at least 3 vertices")
         steps, base = _editing_chain(h)
     elif kind is ModificationKind.DELETION:
-        if h.m < 2:
-            raise ValueError("deletion chains need at least 2 edges")
         steps, base = _deletion_chain(h)
     else:
-        comp = complement(h)
-        if comp.m < 2:
-            raise ValueError("completion chains need at least 2 non-edges")
         first = chain_step(STEP_COMPLEMENT, {}, h, ModificationKind.COMPLETION)
-        rest, base = _deletion_chain(comp)
+        rest, base = _deletion_chain(first.source_h)
         steps = [first, *rest]
     base.validate()
     return tuple(steps), base
@@ -310,14 +285,8 @@ def classify(h: Graph, kind: ModificationKind) -> Classification:
     problem of the given kind, with a replayable chain on the hard side."""
     if h.n == 0:
         raise ValueError("cannot classify the empty pattern")
-    if kind is ModificationKind.EDITING:
-        if h.n <= 2:
-            return Classification("Polynomial", reason=REASON_AT_MOST_TWO_VERTICES)
-    elif kind is ModificationKind.DELETION:
-        if h.m <= 1:
-            return Classification("Polynomial", reason=REASON_AT_MOST_ONE_EDGE)
-    else:
-        if complement(h).m <= 1:
-            return Classification("Polynomial", reason=REASON_AT_MOST_ONE_NON_EDGE)
+    reason = _polynomial_reason(h, kind)
+    if reason is not None:
+        return Classification("Polynomial", reason=reason)
     chain, base = build_chain(h, kind)
     return Classification("NPComplete", chain=chain, base=base)

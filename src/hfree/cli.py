@@ -189,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # exit code 1 means "no", so every error is 2
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -169,13 +169,6 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]
     return Graph(len(keep), kept), relabel
 
 
-def relabel_graph(g: Graph, mapping: dict[int, int]) -> Graph:
-    """Apply a vertex bijection 0..n-1 -> 0..n-1."""
-    if sorted(mapping) != list(g.vertices) or sorted(mapping.values()) != list(g.vertices):
-        raise ValueError("mapping is not a bijection on the vertex set")
-    return Graph(g.n, frozenset(edge(mapping[u], mapping[v]) for u, v in g.edges))
-
-
 def delete_edges(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
     drop = {edge(u, v) for u, v in pairs}
     missing = drop - g.edges
@@ -190,11 +183,6 @@ def add_edges(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
     if present:
         raise ValueError(f"cannot add existing edges {sorted(present)}")
     return Graph(g.n, g.edges | put)
-
-
-def toggle_pairs(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Symmetric difference with a set of vertex pairs."""
-    return Graph(g.n, g.edges ^ {edge(u, v) for u, v in pairs})
 
 
 @dataclass(frozen=True)
@@ -216,9 +204,6 @@ class EditSet:
     @property
     def size(self) -> int:
         return len(self.deletions) + len(self.completions)
-
-    def pairs(self) -> frozenset[Edge]:
-        return self.deletions | self.completions
 
 
 def apply_edits(g: Graph, edits: EditSet) -> Graph:
@@ -357,9 +342,6 @@ class Embedding:
 
     def __getitem__(self, v: int) -> int:
         return self.mapping[v]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(enumerate(self.mapping))
 
 
 def induced_embeddings(

@@ -116,6 +116,17 @@ class SparseLH:
     edges_in_low: int
     edges_in_high: int
 
+    @property
+    def is_t_diamond(self) -> bool:
+        """Whether the graph is a t-diamond (t >= 2): an adjacent high pair
+        joined to every vertex of an independent low class."""
+        return (
+            self.edges_in_high == 1
+            and self.edges_in_low == 0
+            and len(self.v_high) == 2
+            and self.high == len(self.v_low) + 1
+        )
+
 
 def recognize_sparse_lh(h: Graph) -> SparseLH | None:
     """Recognize the sparse two-degree shape; None when it does not apply

@@ -322,12 +322,19 @@ def _lifted(
     return out, step
 
 
+def _capped_complement(g: Graph) -> Graph:
+    """complement(g), refused unbuilt when it is over the construction
+    caps."""
+    _check_size("the complement", g.n, comb(g.n, 2) - g.m)
+    return complement(g)
+
+
 def complement_reduce(inst: Instance) -> tuple[Instance, ReductionStep]:
     """Complement host and pattern, flipping deletion and completion.  A
-    host complement over the construction caps is refused unbuilt."""
-    n = inst.g.n
-    _check_size("the complement", n, comb(n, 2) - inst.g.m)
-    out = Instance(complement(inst.g), inst.k, complement(inst.h), inst.kind.flipped())
+    complement over the construction caps is refused unbuilt."""
+    out = Instance(
+        _capped_complement(inst.g), inst.k, _capped_complement(inst.h), inst.kind.flipped()
+    )
     return _lifted(STEP_COMPLEMENT, {}, inst, out, {})
 
 
@@ -413,7 +420,7 @@ def _high_pair_branches(h: Graph, kind: ModificationKind, params: dict[str, Any]
         raise ValueError(
             f"{what} needs the single within-class edge in the high class"
         )
-    if h.n >= 4 and are_isomorphic(h, t_diamond(h.n - 2)):
+    if shape.is_t_diamond:
         raise ValueError("clique-joined patterns take the induction route instead")
     _deletion_only(kind, what)
     u, v = class_edge(h, shape.v_high)
@@ -531,7 +538,7 @@ def reduce_tdiamond(inst: Instance, t: int) -> tuple[Instance, ReductionStep]:
 # their bodies, so each call goes through the module's current attributes.
 STEPS: dict[str, StepSpec] = {
     STEP_COMPLEMENT: StepSpec(
-        lambda h, kind, p: (complement(h), kind.flipped(), {}),
+        lambda h, kind, p: (_capped_complement(h), kind.flipped(), {}),
         lambda inst, h, p: complement_reduce(inst),
         pattern=False,
     ),

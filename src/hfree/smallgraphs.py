@@ -14,7 +14,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import Graph, are_isomorphic, t_diamond
+from .graphs import Graph, are_isomorphic
 from .problems import recognize_sparse_lh
 
 
@@ -135,7 +135,7 @@ def find_sparse_witness(
                             or shape.edges_in_low != edges_in_low
                         ):
                             continue
-                        if exclude_t_diamond and are_isomorphic(g, t_diamond(g.n - 2)):
+                        if exclude_t_diamond and shape.is_t_diamond:
                             continue
                         return g
     raise LookupError(

@@ -1,4 +1,7 @@
 """Dichotomy verdicts, churn procedures, and reduction-chain assembly."""
+import hashlib
+import json
+
 import pytest
 
 from hfree.classify import (
@@ -14,6 +17,7 @@ from hfree.classify import (
     recognize_sparse_lh,
     sparse_case,
 )
+from hfree.formats import serialize_graph6
 from hfree.graphs import (
     are_isomorphic,
     complement,
@@ -250,6 +254,18 @@ def test_recognize_sparse_rejections():
     assert recognize_sparse_lh(bowtie) is None
 
 
+def test_is_t_diamond_matches_isomorphism():
+    seen = 0
+    for g in graphs_up_to(7):
+        shape = recognize_sparse_lh(g)
+        if shape is None:
+            continue
+        expect = g.n >= 4 and are_isomorphic(g, t_diamond(g.n - 2))
+        assert shape.is_t_diamond == expect, serialize_graph6(g)
+        seen += expect
+    assert seen == 4  # t = 2..5
+
+
 def test_sparse_class_split_matches_degree_profile():
     for h in [t_diamond(3), path(4), k23(), sunlet(3)]:
         sh = recognize_sparse_lh(h)
@@ -299,3 +315,27 @@ def test_every_base_premise_holds_small():
             if c.base.name in checks:
                 assert checks[c.base.name](c.base.graph)
     assert BASE_DIAMOND_DELETION in seen and BASE_REGULAR_EDITING in seen
+
+
+# sha256 over every verdict, chain (with step endpoints) and churn trace of
+# the patterns up to 6 vertices; any change to the classifier's output moves it
+GOLDEN_CLASSIFY_SHA256 = "d5825f47e2a3cf802ed33f8eb757e17a6a00181f03f515b0dcd25d412b548437"
+
+
+def test_classify_and_churn_outputs_are_pinned():
+    digest = hashlib.sha256()
+
+    def put(obj):
+        digest.update(json.dumps(obj).encode() + b"\n")
+
+    for h in graphs_up_to(6):
+        for kind in ModificationKind:
+            c = classify(h, kind)
+            put([c.to_obj(), [s.to_obj() for s in c.chain or ()]])
+        if h.n >= 3:
+            terminal, steps = editing_churn(h)
+            put([[s.to_obj() for s in steps], serialize_graph6(terminal)])
+        if h.m >= 2:
+            terminal, steps = deletion_churn(h)
+            put([[s.to_obj() for s in steps], serialize_graph6(terminal)])
+    assert digest.hexdigest() == GOLDEN_CLASSIFY_SHA256

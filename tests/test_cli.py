@@ -8,7 +8,7 @@ import pytest
 from hfree import cli
 from hfree.cli import build_parser, main
 from hfree.formats import serialize_graph6, serialize_graph_json
-from hfree.graphs import cycle, path, t_diamond
+from hfree.graphs import cycle, path, star, t_diamond
 from hfree.problems import Instance, ModificationKind
 from hfree.reductions import STEPS
 
@@ -190,17 +190,29 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
 
 def test_unexpected_errors_exit_2(tmp_path, capsys, monkeypatch):
     # exit code 1 means "no", so an error of a kind no handler names must
-    # still come out as 2
-    def broken(inst, engine):
-        raise KeyError("boom")
-
-    monkeypatch.setattr(cli, "solve_instance", broken)
+    # still come out as 2; one without a message is named by its type
     inst = instance_file(
         tmp_path, "in.json", path(4), 1, path(3), ModificationKind.DELETION
     )
-    code, out, err = run(capsys, ["solve", "--input", inst])
+    for exc, message in ((KeyError("boom"), "'boom'"), (MemoryError(), "MemoryError")):
+
+        def broken(inst, engine, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "solve_instance", broken)
+        code, out, err = run(capsys, ["solve", "--input", inst])
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
+def test_classify_refuses_oversized_complement(tmp_path, capsys):
+    # editing churn toggles a star to its complement, which would hold
+    # C(1499, 2) = 1,122,751 edges, over the construction edge cap
+    f = write(tmp_path, "star.g6", serialize_graph6(star(1499)))
+    code, out, err = run(capsys, ["classify", "--input", f, "--kind", "editing"])
     assert code == 2 and out == ""
-    assert err == "error: 'boom'\n"
+    assert "the complement would output 1500 vertices and 1122751 edges" in err
+    assert "over the cap" in err
 
 
 def test_verify_suite_report(tmp_path, capsys):

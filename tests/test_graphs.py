@@ -31,11 +31,9 @@ from hfree.graphs import (
     make_named,
     null_graph,
     path,
-    relabel_graph,
     star,
     sunlet,
     t_diamond,
-    toggle_pairs,
 )
 from hfree.smallgraphs import graphs_up_to
 
@@ -136,9 +134,6 @@ def test_edit_helpers():
     assert g.edges == frozenset({(0, 2), (1, 2)})
     g = add_edges(g, [(0, 1)])
     assert g == complete(3)
-    g = toggle_pairs(complete(3), [(0, 1)])
-    assert g.edges == frozenset({(0, 2), (1, 2)})
-    assert toggle_pairs(g, [(0, 1)]) == complete(3)
     with pytest.raises(ValueError):
         delete_edges(null_graph(2), [(0, 1)])
     with pytest.raises(ValueError):
@@ -152,13 +147,6 @@ def test_edit_set():
     assert e.size == 2
     out = apply_edits(path(3), e)
     assert out.edges == frozenset({(0, 2), (1, 2)})
-
-
-def test_relabel_graph():
-    g = relabel_graph(path(3), {0: 2, 1: 1, 2: 0})
-    assert g.edges == frozenset({(1, 2), (0, 1)})
-    with pytest.raises(ValueError):
-        relabel_graph(path(3), {0: 0, 1: 0, 2: 2})
 
 
 def test_components_forest_regular():
