@@ -18,11 +18,17 @@ so JSON wins ties by decree).
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
-from .graphs import Graph, edge
+from .graphs import Graph, bits, edge
 
 _HEADER = ">>graph6<<"
+_NOT_GRAPH6 = re.compile(r"[^?-~]")
+# Each graph6 body character and the six bits it carries, most significant
+# first.
+_FROM_BITS = {format(v, "06b"): chr(v + 63) for v in range(64)}
+_TO_BITS = str.maketrans({c: b for b, c in _FROM_BITS.items()})
 
 
 class GraphParseError(ValueError):
@@ -41,41 +47,37 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_HEADER):]
     if not s:
         raise GraphParseError("empty graph6 input", 0)
-    data = [ord(c) for c in s]
-    for i, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise GraphParseError(f"character {s[i]!r} outside graph6 alphabet", i)
-    pos = 0
-    if data[0] == 126:  # '~'
-        if len(data) >= 2 and data[1] == 126:
+    bad = _NOT_GRAPH6.search(s)
+    if bad:
+        i = bad.start()
+        raise GraphParseError(f"character {s[i]!r} outside graph6 alphabet", i)
+    if s[0] == "~":
+        if s[1:2] == "~":
             raise GraphParseError("graph6 long size form ('~~') not supported", 0)
-        if len(data) < 4:
+        if len(s) < 4:
             raise GraphParseError("truncated graph6 size field", len(s))
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        n = ((ord(s[1]) - 63) << 12) | ((ord(s[2]) - 63) << 6) | (ord(s[3]) - 63)
         pos = 4
     else:
-        n = data[0] - 63
+        n = ord(s[0]) - 63
         pos = 1
     bits_needed = n * (n - 1) // 2
     bytes_needed = (bits_needed + 5) // 6
-    if len(data) - pos < bytes_needed:
+    if len(s) - pos < bytes_needed:
         raise GraphParseError(
-            f"graph6 body too short: need {bytes_needed} bytes, have {len(data) - pos}",
+            f"graph6 body too short: need {bytes_needed} bytes, have {len(s) - pos}",
             len(s),
         )
-    if len(data) - pos > bytes_needed:
+    if len(s) - pos > bytes_needed:
         raise GraphParseError("unexpected bytes after graph6 body", pos + bytes_needed)
-    bits: list[int] = []
-    for b in data[pos:]:
-        val = b - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
     edges = []
-    idx = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
+        # column j, from bit j(j-1)/2 of the body on, holds x(0,j) .. x(j-1,j):
+        # vertex j's lower neighbours
+        first = j * (j - 1) // 2
+        chars = s[pos + first // 6 : pos + (first + j + 5) // 6].translate(_TO_BITS)
+        column = chars[first % 6 : first % 6 + j]
+        edges.extend((i, j) for i in bits(int(column[::-1], 2)))
     return Graph(n, frozenset(edges))
 
 
@@ -84,20 +86,18 @@ def serialize_graph6(g: Graph) -> str:
     if n > 258047:
         raise ValueError("graph too large for the supported graph6 sizes")
     if n <= 62:
-        out = [chr(n + 63)]
+        size = chr(n + 63)
     else:
-        out = ["~", chr(((n >> 12) & 63) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
-    bits: list[int] = []
+        size = "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
+    out = [size]
+    pending = ""  # body bits not yet written: fewer than six between columns
     for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    for group in range(0, len(bits), 6):
-        val = 0
-        for b in bits[group : group + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
+        pending += format(g.masks[j] & ((1 << j) - 1), f"0{j}b")[::-1]
+        cut = len(pending) - len(pending) % 6
+        out.append("".join([_FROM_BITS[pending[i : i + 6]] for i in range(0, cut, 6)]))
+        pending = pending[cut:]
+    if pending:
+        out.append(_FROM_BITS[pending.ljust(6, "0")])
     return "".join(out)
 
 

@@ -1,10 +1,11 @@
 """Small simple graphs with exact structural queries.
 
 Vertices are the dense integers 0..n-1 and edges are unordered pairs stored
-as sorted tuples.  Everything here is pure: operations return new values and
-never mutate their inputs.  The scale target is desk-sized graphs (tens of
-vertices), so all searches are exact and deterministic; nothing is sampled
-or approximated.
+as sorted tuples.  The one adjacency derived from the edges is `Graph.masks`,
+an int bitmask per vertex; `bits` lists a mask's vertices.  Everything here
+is pure: operations return new values and never mutate their inputs.  The
+scale target is desk-sized graphs (tens of vertices), so all searches are
+exact and deterministic; nothing is sampled or approximated.
 """
 from __future__ import annotations
 
@@ -54,14 +55,6 @@ class Graph:
         return range(self.n)
 
     @cached_property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
-
-    @cached_property
     def masks(self) -> tuple[int, ...]:
         """Neighbour bitmasks: bit u of masks[v] is set iff uv is an edge."""
         nbrs = [0] * self.n
@@ -75,19 +68,16 @@ class Graph:
         """Static vertex order for embedding this graph as a pattern: most
         constrained first, preferring vertices with many already placed
         neighbors, then higher degree, then lower id."""
+        masks, degrees = self.masks, self.degrees
         order: list[int] = []
-        placed: set[int] = set()
-        while len(order) < self.n:
-            best_key = None
-            best_v = -1
-            for v in self.vertices:
-                if v in placed:
-                    continue
-                key = (sum(1 for u in self.adj[v] if u in placed), self.degree(v), -v)
-                if best_key is None or key > best_key:
-                    best_key, best_v = key, v
-            order.append(best_v)
-            placed.add(best_v)
+        placed = 0
+        for _ in self.vertices:
+            best = max(
+                bits(~placed & ((1 << self.n) - 1)),
+                key=lambda v: ((masks[v] & placed).bit_count(), degrees[v], -v),
+            )
+            order.append(best)
+            placed |= 1 << best
         return tuple(order)
 
     @cached_property
@@ -98,8 +88,9 @@ class Graph:
         order = self.search_order
         plan = []
         for i, v in enumerate(order):
-            adjacent = tuple(j for j in range(i) if order[j] in self.adj[v])
-            apart = tuple(j for j in range(i) if order[j] not in self.adj[v])
+            mask = self.masks[v]
+            adjacent = tuple(j for j in range(i) if mask >> order[j] & 1)
+            apart = tuple(j for j in range(i) if not mask >> order[j] & 1)
             step = (adjacent, apart, self.degree(v))
             plan.append(_PLAN_STEPS.setdefault(step, step))
         return tuple(plan)
@@ -112,7 +103,8 @@ class Graph:
         return self.degrees[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self.edges
+        """Whether uv is an edge; False for u == v.  Both must be vertices."""
+        return self.masks[u] >> v & 1 == 1
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
@@ -122,33 +114,20 @@ def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]] = ()) -> Graph:
     return Graph(n, frozenset(edge(u, v) for u, v in pairs))
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Degree summary: extremes plus the vertex classes of each degree."""
-
-    min_degree: int
-    max_degree: int
-    by_degree: dict[int, frozenset[int]]
-
-
-def degree_profile(g: Graph) -> DegreeProfile:
-    if g.n == 0:
-        raise ValueError("degree profile of the empty graph is undefined")
-    classes: dict[int, set[int]] = {}
-    for v in g.vertices:
-        classes.setdefault(g.degree(v), set()).add(v)
-    return DegreeProfile(
-        min_degree=min(classes),
-        max_degree=max(classes),
-        by_degree={d: frozenset(vs) for d, vs in sorted(classes.items())},
-    )
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of `mask`, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def complement(g: Graph) -> Graph:
+    everyone = (1 << g.n) - 1
     missing = (
-        edge(u, v)
-        for u, v in itertools.combinations(g.vertices, 2)
-        if not g.has_edge(u, v)
+        (u, v)
+        for u in g.vertices
+        for v in bits(everyone & ~(g.masks[u] | ((2 << u) - 1)))
     )
     return Graph(g.n, frozenset(missing))
 
@@ -217,33 +196,25 @@ def is_regular(g: Graph) -> bool:
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
-    seen: set[int] = set()
+    """Vertex sets of the components, in order of their lowest vertex."""
     comps: list[frozenset[int]] = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        stack = [start]
-        comp = {start}
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for u in g.adj[v]:
-                if u not in comp:
-                    comp.add(u)
-                    seen.add(u)
-                    stack.append(u)
-        comps.append(frozenset(comp))
+    left = (1 << g.n) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= g.masks[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        left &= ~comp
+        comps.append(frozenset(bits(comp)))
     return comps
 
 
 def is_forest(g: Graph) -> bool:
-    # acyclic iff every component has exactly |C|-1 edges
-    comps = connected_components(g)
-    for comp in comps:
-        inside = sum(1 for u, v in g.edges if u in comp and v in comp)
-        if inside != len(comp) - 1:
-            return False
-    return True
+    # a graph with c components has at least n - c edges, exactly when acyclic
+    return g.m == g.n - len(connected_components(g))
 
 
 # ---------------------------------------------------------------------------

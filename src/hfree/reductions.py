@@ -26,6 +26,7 @@ from .graphs import (
     Graph,
     are_isomorphic,
     automorphism_count,
+    bits,
     complement,
     edge,
     enumerate_pattern_copies,
@@ -442,7 +443,7 @@ def _case1_branches(h: Graph, kind: ModificationKind, params: dict[str, Any]) ->
         raise ValueError(f"{what} needs low degree >= 2, got {shape.low}")
     _deletion_only(kind, what)
     for v in sorted(shape.v_high):
-        lows = sorted(w for w in h.adj[v] if w in shape.v_low)
+        lows = [w for w in bits(h.masks[v]) if w in shape.v_low]
         if len(lows) >= 2:
             triple = [lows[0], v, lows[1]]
             return _Branches(
@@ -727,7 +728,7 @@ def audit_branch_construction(
         if isomorphism_extending(h, union, forced) is None:
             problems.append(f"record {i}: branch union is not a copy of the pattern")
         for bv in rec.branch_vertices:
-            stray = out.adj[bv] - allowed
+            stray = set(bits(out.masks[bv])) - allowed
             cross = stray & all_branch_vertices
             stray -= cross
             if stray:
@@ -776,7 +777,7 @@ def audit_clique_construction(
                     problems.append(f"record {i}: clique pair {a, b} not adjacent")
             if not (out.has_edge(a, u) and out.has_edge(a, v)):
                 problems.append(f"record {i}: vertex {a} misses an endpoint")
-            stray = out.adj[a] - allowed
+            stray = set(bits(out.masks[a])) - allowed
             if stray:
                 problems.append(
                     f"record {i}: vertex {a} has stray neighbors {sorted(stray)}"

@@ -14,7 +14,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import Graph, are_isomorphic
+from .graphs import Graph, are_isomorphic, bits
 from .problems import recognize_sparse_lh
 
 
@@ -23,7 +23,8 @@ def refinement_signature(g: Graph) -> tuple:
     colors = list(g.degrees)
     for _ in range(g.n):
         keys = [
-            (colors[v], tuple(sorted(colors[u] for u in g.adj[v]))) for v in g.vertices
+            (colors[v], tuple(sorted(colors[u] for u in bits(g.masks[v]))))
+            for v in g.vertices
         ]
         palette = {key: i for i, key in enumerate(sorted(set(keys)))}
         new = [palette[k] for k in keys]

@@ -128,9 +128,6 @@ class _ToggledHost:
         self.n = g.n
         self.masks = list(g.masks)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.masks[u] >> v & 1)
-
     def toggle(self, pair: Edge) -> None:
         u, v = pair
         self.masks[u] ^= 1 << v
@@ -159,7 +156,7 @@ def solve_branching(
         present = []
         absent = []
         for u, v in combinations(copy, 2):
-            (present if cur.has_edge(u, v) else absent).append(edge(u, v))
+            (present if cur.masks[u] >> v & 1 else absent).append(edge(u, v))
         if kind is ModificationKind.DELETION:
             return present
         if kind is ModificationKind.COMPLETION:

@@ -23,7 +23,6 @@ from hfree.graphs import (
     complement,
     complete,
     cycle,
-    degree_profile,
     disjoint_union,
     graph_from_edges,
     induced_subgraph,
@@ -271,9 +270,8 @@ def test_sparse_class_split_matches_degree_profile():
         sh = recognize_sparse_lh(h)
         if sh is None:
             continue
-        prof = degree_profile(h)
-        assert sh.v_low == prof.by_degree[sh.low]
-        assert sh.v_high == prof.by_degree[sh.high]
+        assert sh.v_low == {v for v in h.vertices if h.degree(v) == sh.low}
+        assert sh.v_high == {v for v in h.vertices if h.degree(v) == sh.high}
         low_sub, _ = induced_subgraph(h, sorted(sh.v_low))
         high_sub, _ = induced_subgraph(h, sorted(sh.v_high))
         assert low_sub.m == sh.edges_in_low <= 1

@@ -70,21 +70,34 @@ def test_large_n_uses_long_form():
 )
 def test_graph6_agrees_with_networkx(n, density, seed):
     # n runs past 62, where the vertex count switches to the long form
-    rng = random.Random(seed)
-    g = Graph(
+    assert_graph6_matches_networkx(random_graph(n, density, random.Random(seed)))
+
+
+def test_graph6_agrees_with_networkx_on_large_graphs():
+    assert_graph6_matches_networkx(random_graph(300, 0.3, random.Random(300)))
+    assert_graph6_matches_networkx(null_graph(1000))
+
+
+def random_graph(n: int, density: float, rng: random.Random) -> Graph:
+    return Graph(
         n,
         frozenset(
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
         ),
     )
+
+
+def assert_graph6_matches_networkx(g: Graph) -> None:
     nx_g = nx.Graph()
-    nx_g.add_nodes_from(range(n))
+    nx_g.add_nodes_from(range(g.n))
     nx_g.add_edges_from(g.edges)
     text = serialize_graph6(g)
     assert text.encode() + b"\n" == nx.to_graph6_bytes(nx_g, header=False)
     back = nx.from_graph6_bytes(text.encode())
-    assert back.number_of_nodes() == n
-    assert parse_graph6(text) == Graph(n, frozenset(tuple(sorted(e)) for e in back.edges))
+    assert back.number_of_nodes() == g.n
+    assert parse_graph6(text) == Graph(
+        g.n, frozenset(tuple(sorted(e)) for e in back.edges)
+    )
 
 
 def test_parse_errors_carry_offsets():

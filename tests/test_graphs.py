@@ -14,7 +14,6 @@ from hfree.graphs import (
     complete,
     connected_components,
     cycle,
-    degree_profile,
     delete_edges,
     disjoint_union,
     edge,
@@ -68,6 +67,8 @@ def test_degrees_and_m():
     assert g.degrees == (1, 2, 2, 1)
     assert g.m == 3
     assert complete(5).m == 10
+    for g in graphs_up_to(5):
+        assert sum(g.degrees) == 2 * g.m
 
 
 def test_complement_k3_is_null():
@@ -106,27 +107,6 @@ def test_induced_subgraph_c5_consecutive():
         vs = [(start + i) % 5 for i in range(4)]
         sub, _ = induced_subgraph(c5, vs)
         assert are_isomorphic(sub, path(4))
-
-
-def test_degree_profile_frozen():
-    p = degree_profile(complete(4))
-    assert p.min_degree == p.max_degree == 3
-    assert p.by_degree == {3: frozenset({0, 1, 2, 3})}
-
-    p = degree_profile(path(3))
-    assert p.min_degree == 1 and p.max_degree == 2
-    assert len(p.by_degree[1]) == 2 and len(p.by_degree[2]) == 1
-
-    p = degree_profile(t_diamond(3))
-    assert len(p.by_degree[2]) == 3 and len(p.by_degree[4]) == 2
-
-
-def test_degree_profile_partition_and_handshake():
-    for g in graphs_up_to(5):
-        p = degree_profile(g)
-        seen = sorted(v for bucket in p.by_degree.values() for v in bucket)
-        assert seen == list(range(g.n))
-        assert sum(g.degrees) == 2 * g.m
 
 
 def test_edit_helpers():

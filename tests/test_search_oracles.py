@@ -1,5 +1,6 @@
-"""The induced-copy search and the two solvers against independent oracles:
-networkx's induced subgraph matcher, and each other on drawn instances."""
+"""The graph core's adjacency helpers, the induced-copy search and the two
+solvers against independent oracles: networkx's graph algorithms and induced
+subgraph matcher, and each other on drawn instances."""
 import itertools
 
 import networkx as nx
@@ -7,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from hfree.graphs import Graph, induced_embeddings
+from hfree.graphs import (
+    Graph,
+    complement,
+    connected_components,
+    induced_embeddings,
+    is_forest,
+)
 from hfree.problems import ModificationKind
 from hfree.solve import check_witness, solve_branching, solve_bruteforce
 
@@ -25,6 +32,23 @@ def to_nx(g: Graph) -> nx.Graph:
     out.add_nodes_from(g.vertices)
     out.add_edges_from(g.edges)
     return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(0, 12))
+def test_adjacency_helpers_match_networkx(g):
+    ref = to_nx(g)
+    flipped = complement(g)
+    assert flipped.n == g.n
+    assert flipped.edges == {tuple(sorted(e)) for e in nx.complement(ref).edges}
+    assert connected_components(g) == sorted(nx.connected_components(ref), key=min)
+    # networkx calls the graph on no vertices neither a forest nor not one
+    assert is_forest(g) == (g.n == 0 or nx.is_forest(ref))
+    assert g.degrees == tuple(d for _, d in sorted(ref.degree))
+    for u in g.vertices:
+        for v in g.vertices:
+            # no self-loops in ref, so has_edge(u, u) must be False
+            assert g.has_edge(u, v) == ref.has_edge(u, v)
 
 
 @settings(max_examples=300, deadline=None)
