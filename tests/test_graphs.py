@@ -67,8 +67,6 @@ def test_degrees_and_m():
     assert g.degrees == (1, 2, 2, 1)
     assert g.m == 3
     assert complete(5).m == 10
-    for g in graphs_up_to(5):
-        assert sum(g.degrees) == 2 * g.m
 
 
 def test_complement_k3_is_null():
@@ -107,6 +105,19 @@ def test_induced_subgraph_c5_consecutive():
         vs = [(start + i) % 5 for i in range(4)]
         sub, _ = induced_subgraph(c5, vs)
         assert are_isomorphic(sub, path(4))
+
+
+def test_degree_profile_partition_and_handshake():
+    # bucketing vertices by Graph.degree partitions them, agreeing with
+    # Graph.degrees, and the degrees sum to twice the edge count
+    for g in graphs_up_to(5):
+        by_degree: dict[int, set[int]] = {}
+        for v in g.vertices:
+            by_degree.setdefault(g.degree(v), set()).add(v)
+        seen = sorted(v for bucket in by_degree.values() for v in bucket)
+        assert seen == list(range(g.n))
+        assert all(g.degrees[v] == d for d, vs in by_degree.items() for v in vs)
+        assert sum(g.degrees) == 2 * g.m
 
 
 def test_edit_helpers():
