@@ -18,7 +18,7 @@ from .classify import classify, deletion_churn, editing_churn
 from .formats import graph_to_obj, parse_graph
 from .graphs import Graph
 from .problems import Instance, instance_from_obj, kind_from_str
-from .reductions import STEPS
+from .reductions import STEPS, reduce_instance
 from .solve import solve_instance
 from .verify import SUITE_NAMES, run_suites
 
@@ -81,12 +81,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     for name in spec.params:
         if params[name] is None:
             raise ValueError(f"{args.step} needs {_PARAM_FLAGS[name]}")
-    h = None
-    if spec.pattern:
-        if args.pattern is None:
-            raise ValueError(f"step {args.step} needs --pattern")
-        h = _load_graph(args.pattern)
-    out, step = spec.lift(inst, h, params)
+    h = None if args.pattern is None else _load_graph(args.pattern)
+    out, step = reduce_instance(inst, args.step, params, h)
     _emit({"instance": out.to_obj(), "step": step.to_obj()}, args.out)
     return 0
 

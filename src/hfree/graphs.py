@@ -301,20 +301,6 @@ def make_named(family: str, *params: int) -> Graph:
 # ---------------------------------------------------------------------------
 # embeddings, isomorphism, copy enumeration
 
-@dataclass(frozen=True)
-class Embedding:
-    """Injective vertex map; position i holds the image of pattern vertex i."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.mapping)) != len(self.mapping):
-            raise ValueError("embedding is not injective")
-
-    def __getitem__(self, v: int) -> int:
-        return self.mapping[v]
-
-
 def induced_embeddings(
     host: Graph, pattern: Graph, forced: dict[int, int] | None = None
 ) -> Iterator[dict[int, int]]:
@@ -445,12 +431,13 @@ class PatternCopy:
 
     `vertices` is the host subset used (isolated pattern vertices included),
     `edges` the realized edge set, and `embedding` the lexicographically
-    least injective map producing that edge set on that subset.
+    least injective map producing that edge set on that subset: position i
+    holds the image of pattern vertex i.
     """
 
     vertices: tuple[int, ...]
     edges: frozenset[Edge]
-    embedding: Embedding
+    embedding: tuple[int, ...]
 
 
 def enumerate_pattern_copies(host_vertex_count: int, pattern: Graph) -> list[PatternCopy]:
@@ -472,5 +459,5 @@ def enumerate_pattern_copies(host_vertex_count: int, pattern: Graph) -> list[Pat
             if key not in seen:
                 seen[key] = perm
         for key in sorted(seen, key=lambda es: sorted(es)):
-            copies.append(PatternCopy(subset, key, Embedding(seen[key])))
+            copies.append(PatternCopy(subset, key, seen[key]))
     return copies

@@ -4,9 +4,12 @@ Each operation takes a concrete instance of a smaller pattern's problem and
 produces an instance of a bigger pattern's problem with the same budget k,
 plus a ReductionStep describing what happened (including per-copy branch or
 clique records, so the output can be audited structurally).  STEPS maps
-every step name to the source problem it lifts from and the operation that
-runs it; classify builds its chain steps from it (`chain_step`), and chain
-replay and `hfree reduce` both dispatch through it.
+every step name to the source problem it reduces from and the build
+that runs it.  Every step runs from its record: `chain_step` derives it from
+the table (classify builds its chains this way), and one executor checks
+the instance against the step's source problem once and builds the
+target; chain replay (`apply_step`) and `hfree reduce` (`reduce_instance`)
+both go through it.
 
 The two workhorse constructions attach, for every placement of a fixed
 sub-pattern inside the host's vertex set, k+1 fresh "branches" completing
@@ -16,7 +19,7 @@ branch vertices from distinct branches, across all placements.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb, perm
 from typing import Any, Callable
 
@@ -32,7 +35,6 @@ from .graphs import (
     enumerate_pattern_copies,
     induced_subgraph,
     isomorphism_extending,
-    path,
     t_diamond,
 )
 from .problems import (
@@ -297,31 +299,7 @@ def construct_tdiamond(g_prime: Graph, k: int) -> tuple[Graph, list[CliqueRecord
 
 
 # ---------------------------------------------------------------------------
-# instance-level reductions and the step table
-
-def _require_iso(got: Graph, want: Graph, what: str) -> None:
-    if not are_isomorphic(got, want):
-        raise ValueError(
-            f"{what}: instance pattern {got!r} is not isomorphic to the "
-            f"expected {want!r}"
-        )
-
-
-def _lifted(
-    name: str, params: dict[str, Any], inst: Instance, out: Instance, metadata: dict[str, Any]
-) -> tuple[Instance, ReductionStep]:
-    """`out`, with the executed step `name` that lifted `inst` to it."""
-    step = ReductionStep(
-        step=name,
-        params=params,
-        source_h=inst.h,
-        source_kind=inst.kind,
-        target_h=out.h,
-        target_kind=out.kind,
-        execution=StepExecution(inst.summary(), out.summary(), metadata),
-    )
-    return out, step
-
+# the step table and its executor
 
 def _capped_complement(g: Graph) -> Graph:
     """complement(g), refused unbuilt when it is over the construction
@@ -330,65 +308,37 @@ def _capped_complement(g: Graph) -> Graph:
     return complement(g)
 
 
-def complement_reduce(inst: Instance) -> tuple[Instance, ReductionStep]:
-    """Complement host and pattern, flipping deletion and completion.  A
-    complement over the construction caps is refused unbuilt."""
-    out = Instance(
-        _capped_complement(inst.g), inst.k, _capped_complement(inst.h), inst.kind.flipped()
-    )
-    return _lifted(STEP_COMPLEMENT, {}, inst, out, {})
-
-
-def _through_complement(
-    inst: Instance,
-    name: str,
-    params: dict[str, Any],
-    inner: Callable[[Instance], tuple[Instance, ReductionStep]],
-) -> tuple[Instance, ReductionStep]:
-    """Complement the instance, run `inner` on that, and complement back.
-    The emitted step records the three hops as its composite."""
-    flipped, step_in = complement_reduce(inst)
-    mid, step_mid = inner(flipped)
-    out, step_out = complement_reduce(mid)
-    composite = [step_in.to_obj(), step_mid.to_obj(), step_out.to_obj()]
-    return _lifted(name, params, inst, out, {"composite": composite})
-
-
 @dataclass(frozen=True)
 class _Branches:
-    """How a branch step lifts the problem for h[v_prime] to the one for h,
-    keeping the kind: the params the step records, the name its errors
-    give, and the construction, which is construct_adj when `joined`,
-    construct_nonadj otherwise, or, with `inner` set, that (step, params)
-    run on the complement pattern between two complement hops.  With
-    `own_source` the step records h[v_prime] itself as its source pattern,
-    whatever labels the instance's pattern carries."""
+    """How a branch step reduces the problem for h[v_prime] to the one for h,
+    keeping the kind: the params the step records, and the construction,
+    which is construct_adj when `joined`, construct_nonadj otherwise, or,
+    with `inner` set, that (step, params) run on the complement pattern
+    between two complement hops."""
 
     v_prime: list[int]
     params: dict[str, Any]
-    what: str
     joined: bool = False
     inner: tuple[str, dict[str, Any]] | None = None
-    own_source: bool = False
 
 
 def _degree_branches(h: Graph, kind: ModificationKind, params: dict[str, Any]) -> _Branches:
     d = params["d"]
     if params.get("variant", "min") == "max":
         v_prime = [v for v in h.vertices if h.degree(v) < d]
-        side, what = "above the maximum", "degree reduction (max side)"
+        side = "above the maximum"
         # the min side of the complement pattern, whose degrees are n-1-deg
         inner = (STEP_DEGREE, {"d": h.n - 1 - d, "variant": "min"})
     else:
         v_prime = [v for v in h.vertices if h.degree(v) > d]
-        side, what, inner = "below the minimum", "degree reduction", None
+        side, inner = "below the minimum", None
     if len(v_prime) == h.n:
         raise ValueError(
             f"degree threshold {d} is {side} degree of {h!r}; "
             "the reduction would be a no-op"
         )
     variant = "min" if inner is None else "max"
-    return _Branches(v_prime, {"d": d, "variant": variant}, what, inner=inner)
+    return _Branches(v_prime, {"d": d, "variant": variant}, inner=inner)
 
 
 def _sparse_shape(h: Graph, what: str) -> SparseLH:
@@ -411,7 +361,7 @@ def _low_pair_branches(h: Graph, kind: ModificationKind, params: dict[str, Any])
     _deletion_only(kind, what)
     u, v = class_edge(h, shape.v_low)
     v_prime = [w for w in h.vertices if w not in (u, v)]
-    return _Branches(v_prime, {"low_pair": [u, v]}, what)
+    return _Branches(v_prime, {"low_pair": [u, v]})
 
 
 def _high_pair_branches(h: Graph, kind: ModificationKind, params: dict[str, Any]) -> _Branches:
@@ -429,7 +379,6 @@ def _high_pair_branches(h: Graph, kind: ModificationKind, params: dict[str, Any]
     return _Branches(
         v_prime,
         {"high_pair": [u, v], "v_prime": v_prime},
-        what,
         inner=(STEP_CONSTRUCT_NONADJ, {"v_prime": v_prime}),
     )
 
@@ -446,9 +395,7 @@ def _case1_branches(h: Graph, kind: ModificationKind, params: dict[str, Any]) ->
         lows = [w for w in bits(h.masks[v]) if w in shape.v_low]
         if len(lows) >= 2:
             triple = [lows[0], v, lows[1]]
-            return _Branches(
-                sorted(triple), {"triple": triple}, what, joined=True, own_source=True
-            )
+            return _Branches(sorted(triple), {"triple": triple}, joined=True)
     raise ContractViolationError(
         f"no high-centered 3-path with low endpoints exists in {h!r}"
     )
@@ -456,64 +403,76 @@ def _case1_branches(h: Graph, kind: ModificationKind, params: dict[str, Any]) ->
 
 def _given_branches(joined: bool):
     return lambda h, kind, params: _Branches(
-        params["v_prime"], {"v_prime": params["v_prime"]}, "branch construction", joined
+        params["v_prime"], {"v_prime": params["v_prime"]}, joined
     )
 
 
 @dataclass(frozen=True)
 class StepSpec:
-    """One kind of step.  `source(h, kind, params)` derives the problem the
-    step lifts to (h, kind): it returns the source pattern, the source kind
-    and the params the step records, and raises ValueError where the step
-    does not apply.  `lift(inst, h, params)` turns an instance of that
-    source problem into one for the target pattern h and returns it with
-    the executed ReductionStep.  `params` names the step params they read;
-    `pattern` says whether the lift needs h (the other lifts derive the
-    target); `cli` says whether `hfree reduce` offers it."""
+    """One kind of step.  `source(h, kind, params)` derives the source
+    problem, which the step reduces to (h, kind): it returns the source
+    pattern, the source kind and the params the step records, and raises
+    ValueError where the step does not apply.  `build(step, inst)` builds,
+    from an instance of the step's source problem, the host of the target
+    instance, and returns it with the execution metadata; it trusts the
+    instance to match the step.
+    `params` names the step params they read.  `target(h, kind, params)`,
+    set only on the steps that derive their target problem from the
+    instance's (h, kind), returns that target; the other steps are told
+    their target pattern.  `cli` says whether `hfree reduce` offers it."""
 
     source: Callable[
-        [Any, ModificationKind, dict[str, Any]],
+        [Graph, ModificationKind, dict[str, Any]],
         tuple[Graph, ModificationKind, dict[str, Any]],
     ]
-    lift: Callable[[Instance, Any, dict[str, Any]], tuple[Instance, ReductionStep]]
+    build: Callable[[ReductionStep, Instance], tuple[Graph, dict[str, Any]]]
     params: tuple[str, ...] = ()
-    pattern: bool = True
+    target: Callable[
+        [Graph, ModificationKind, dict[str, Any]], tuple[Graph, ModificationKind]
+    ] | None = None
     cli: bool = True
 
 
+def _through_complement(
+    step: ReductionStep, inst: Instance, name: str, params: dict[str, Any]
+) -> tuple[Graph, dict[str, Any]]:
+    """Build `step` as three chain steps run in a row: complement the
+    instance, run (name, params) on the complement pattern, complement
+    back.  The metadata records the three executed hops."""
+    flipped = step.target_kind.flipped()
+    inner = chain_step(name, params, complement(step.target_h), flipped)
+    hops = [
+        chain_step(STEP_COMPLEMENT, {}, inner.source_h, flipped),
+        inner,
+        chain_step(STEP_COMPLEMENT, {}, step.target_h, step.target_kind),
+    ]
+    composite = []
+    for hop in hops:
+        inst, done = _run_step(hop, inst)
+        composite.append(done.to_obj())
+    return inst.g, {"composite": composite}
+
+
 def _branch_step(
-    name: str,
     branches: Callable[[Graph, ModificationKind, dict[str, Any]], _Branches],
     **fields: Any,
 ) -> StepSpec:
-    """The spec of a step that lifts from h[V'] by attaching branches, with
+    """The spec of a step that reduces from h[V'] by attaching branches, with
     `branches` giving V' and the construction."""
 
     def source(h, kind, params):
         b = branches(h, kind, params)
         return induced_subgraph(h, b.v_prime)[0], kind, b.params
 
-    def lift(inst, h, params):
-        b = branches(h, inst.kind, params)
-        sub, _ = induced_subgraph(h, b.v_prime)
-        _require_iso(inst.h, sub, b.what)
-        if b.own_source:
-            inst = Instance(g=inst.g, k=inst.k, h=sub, kind=inst.kind)
+    def build(step, inst):
+        b = branches(step.target_h, step.target_kind, step.params)
         if b.inner is not None:
-            inner, inner_params = b.inner
-            return _through_complement(
-                inst,
-                name,
-                b.params,
-                lambda flipped: STEPS[inner].lift(flipped, complement(h), inner_params),
-            )
-        build = construct_adj if b.joined else construct_nonadj
-        g, records = build(inst.g, inst.k, h, b.v_prime)
-        out = Instance(g=g, k=inst.k, h=h, kind=inst.kind)
-        metadata = {"branch_records": [r.to_obj() for r in records]}
-        return _lifted(name, b.params, inst, out, metadata)
+            return _through_complement(step, inst, *b.inner)
+        construct = construct_adj if b.joined else construct_nonadj
+        g, records = construct(inst.g, inst.k, step.target_h, b.v_prime)
+        return g, {"branch_records": [r.to_obj() for r in records]}
 
-    return StepSpec(source, lift, **fields)
+    return StepSpec(source, build, **fields)
 
 
 def _tdiamond_source(h, kind: ModificationKind, params: dict[str, Any]):
@@ -524,40 +483,34 @@ def _tdiamond_source(h, kind: ModificationKind, params: dict[str, Any]):
     return t_diamond(t - 1), kind, {"t": t}
 
 
-def reduce_tdiamond(inst: Instance, t: int) -> tuple[Instance, ReductionStep]:
-    """Lift a (t-1)-diamond deletion instance to a t-diamond one by hanging
-    a (k+1)-clique on every host edge."""
-    source, _, params = _tdiamond_source(None, inst.kind, {"t": t})
-    _require_iso(inst.h, source, "clique induction")
+def _tdiamond_build(step: ReductionStep, inst: Instance) -> tuple[Graph, dict[str, Any]]:
     g, records = construct_tdiamond(inst.g, inst.k)
-    out = Instance(g=g, k=inst.k, h=t_diamond(t), kind=inst.kind)
-    metadata = {"clique_records": [r.to_obj() for r in records]}
-    return _lifted(STEP_TDIAMOND, params, inst, out, metadata)
+    return g, {"clique_records": [r.to_obj() for r in records]}
 
 
-# Every step kind.  The lifts name the reductions and constructions inside
-# their bodies, so each call goes through the module's current attributes.
+# Every step kind.  The builds name the constructions inside their bodies,
+# so each call goes through the module's current attributes.
 STEPS: dict[str, StepSpec] = {
     STEP_COMPLEMENT: StepSpec(
         lambda h, kind, p: (_capped_complement(h), kind.flipped(), {}),
-        lambda inst, h, p: complement_reduce(inst),
-        pattern=False,
+        lambda step, inst: (_capped_complement(inst.g), {}),
+        target=lambda h, kind, p: (_capped_complement(h), kind.flipped()),
     ),
-    STEP_DEGREE: _branch_step(STEP_DEGREE, _degree_branches, params=("d",)),
+    STEP_DEGREE: _branch_step(_degree_branches, params=("d",)),
     STEP_TDIAMOND: StepSpec(
         _tdiamond_source,
-        lambda inst, h, p: reduce_tdiamond(inst, p["t"]),
+        _tdiamond_build,
         params=("t",),
-        pattern=False,
+        target=lambda h, kind, p: (t_diamond(p["t"]), kind),
     ),
-    STEP_SPARSE_VL: _branch_step(STEP_SPARSE_VL, _low_pair_branches),
-    STEP_SPARSE_VH: _branch_step(STEP_SPARSE_VH, _high_pair_branches),
-    STEP_SPARSE_CASE1: _branch_step(STEP_SPARSE_CASE1, _case1_branches),
+    STEP_SPARSE_VL: _branch_step(_low_pair_branches),
+    STEP_SPARSE_VH: _branch_step(_high_pair_branches),
+    STEP_SPARSE_CASE1: _branch_step(_case1_branches),
     STEP_CONSTRUCT_NONADJ: _branch_step(
-        STEP_CONSTRUCT_NONADJ, _given_branches(False), params=("v_prime",), cli=False
+        _given_branches(False), params=("v_prime",), cli=False
     ),
     STEP_CONSTRUCT_ADJ: _branch_step(
-        STEP_CONSTRUCT_ADJ, _given_branches(True), params=("v_prime",), cli=False
+        _given_branches(True), params=("v_prime",), cli=False
     ),
 }
 
@@ -571,58 +524,50 @@ def chain_step(
     return ReductionStep(name, recorded, source_h, source_kind, h, kind)
 
 
-def reduce_degree(
-    inst: Instance, h: Graph, d: int
+def _run_step(step: ReductionStep, inst: Instance) -> tuple[Instance, ReductionStep]:
+    """Build `step` on `inst`, which must be an instance of its source
+    problem.  The output keeps the budget and is an instance of the step's
+    target problem by construction."""
+    g, metadata = STEPS[step.step].build(step, inst)
+    out = Instance(g, inst.k, step.target_h, step.target_kind)
+    execution = StepExecution(inst.summary(), out.summary(), metadata)
+    return out, replace(step, execution=execution)
+
+
+def _execute_step(step: ReductionStep, inst: Instance) -> tuple[Instance, ReductionStep]:
+    """Check that `inst` is an instance of the step's source problem, then
+    run the step on it; returns the output with the executed step."""
+    if inst.kind is not step.source_kind:
+        raise ValueError(
+            f"instance kind {inst.kind.value} does not match the step's "
+            f"source kind {step.source_kind.value}"
+        )
+    if not are_isomorphic(inst.h, step.source_h):
+        raise ValueError(
+            f"step {step.step}: instance pattern {inst.h!r} is not isomorphic "
+            f"to the step's source pattern {step.source_h!r}"
+        )
+    return _run_step(step, inst)
+
+
+def reduce_instance(
+    inst: Instance, name: str, params: dict[str, Any], h: Graph | None = None
 ) -> tuple[Instance, ReductionStep]:
-    """Lift an instance of the problem for h minus its degree-at-most-d
-    vertices to an instance of the problem for h itself.
-
-    The instance pattern must match h restricted to degrees above d, and
-    that restriction must be proper (a threshold below the whole pattern's
-    minimum degree is rejected as degenerate).
-    """
-    return STEPS[STEP_DEGREE].lift(inst, h, {"d": d, "variant": "min"})
-
-
-def reduce_degree_max(
-    inst: Instance, h: Graph, d: int
-) -> tuple[Instance, ReductionStep]:
-    """Max-side companion of reduce_degree: lift from h minus its
-    degree-at-least-d vertices, by running the min-side reduction on the
-    complement pattern and complementing back."""
-    return STEPS[STEP_DEGREE].lift(inst, h, {"d": d, "variant": "max"})
-
-
-def reduce_sparse_vl(inst: Instance, h: Graph) -> tuple[Instance, ReductionStep]:
-    """Lift from the pattern obtained by dropping h's adjacent low-degree
-    pair (sparse shapes whose low class carries an edge)."""
-    return STEPS[STEP_SPARSE_VL].lift(inst, h, {})
-
-
-def reduce_sparse_vh(inst: Instance, h: Graph) -> tuple[Instance, ReductionStep]:
-    """Lift from the pattern induced by the low class plus h's adjacent
-    high-degree pair (sparse shapes whose one edge sits in the high class,
-    excluding the clique-joined-to-independent-set family, which the clique
-    induction handles instead).
-
-    Runs through the complement: flip to completion, attach branches for the
-    complement pattern, flip back.  The emitted step records the composite.
-    """
-    return STEPS[STEP_SPARSE_VH].lift(inst, h, {})
-
-
-def reduce_sparse_case1(
-    g_prime: Graph, k: int, h: Graph
-) -> tuple[Instance, ReductionStep]:
-    """Turn a 3-path deletion instance into one for a sparse pattern whose
-    two degree classes are both independent.
-
-    Picks the first center-in-high, ends-in-low induced 3-path of h and
-    applies the joined-branches construction on that triple.
-    """
-    # any labelling of P3 does: the step records h's own 3-path as source
-    seed = Instance(g=g_prime, k=k, h=path(3), kind=ModificationKind.DELETION)
-    return STEPS[STEP_SPARSE_CASE1].lift(seed, h, {})
+    """Run the step `name` with `params` on `inst`, reducing it to the
+    problem for the target pattern h; the steps that derive their target
+    (complement-problem, tdiamond-induction) take no h.  Returns the output
+    instance with the executed step, whose source pattern is the one the
+    step derives from h, whatever labels the instance's pattern carries."""
+    derive = STEPS[name].target
+    if derive is not None:
+        if h is not None:
+            raise ValueError(f"step {name} derives its own target and takes no pattern")
+        h, kind = derive(inst.h, inst.kind, params)
+    elif h is None:
+        raise ValueError(f"step {name} needs a target pattern")
+    else:
+        kind = inst.kind
+    return _execute_step(chain_step(name, params, h, kind), inst)
 
 
 # ---------------------------------------------------------------------------
@@ -630,23 +575,7 @@ def reduce_sparse_case1(
 
 def apply_step(step: ReductionStep, inst: Instance) -> Instance:
     """Execute one chain step on an instance of its source problem."""
-    if inst.kind is not step.source_kind:
-        raise ValueError(
-            f"instance kind {inst.kind.value} does not match the step's "
-            f"source kind {step.source_kind.value}"
-        )
-    _require_iso(inst.h, step.source_h, f"step {step.step}")
-    out, _ = STEPS[step.step].lift(inst, step.target_h, step.params)
-    if out.k != inst.k:
-        raise ContractViolationError(
-            f"step {step.step} changed the budget: {inst.k} -> {out.k}"
-        )
-    if out.kind is not step.target_kind or not are_isomorphic(out.h, step.target_h):
-        raise ContractViolationError(
-            f"step {step.step} produced a {out.kind.value} instance of {out.h!r}, "
-            f"expected {step.target_kind.value} of {step.target_h!r}"
-        )
-    return out
+    return _execute_step(step, inst)[0]
 
 
 def replay_chain(chain, seed: Instance) -> Instance:

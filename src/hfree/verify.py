@@ -182,7 +182,7 @@ def _case1_steps() -> list[ReductionStep]:
 
 
 def _complement_steps() -> list[ReductionStep]:
-    # deletion of P3 and of the triangle, lifted to completion of the complement
+    # deletion of P3 and of the triangle, reduced to completion of the complement
     return [
         _first_step(complement(h), ModificationKind.COMPLETION)
         for h in (path(3), graph_from_edges(3, [(0, 1), (1, 2), (0, 2)]))

@@ -1,4 +1,5 @@
 """Command-line behavior: outputs, exit codes, format detection."""
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,11 +7,19 @@ import sys
 import pytest
 
 from hfree import cli
+from hfree.classify import classify
 from hfree.cli import build_parser, main
 from hfree.formats import serialize_graph6, serialize_graph_json
-from hfree.graphs import cycle, path, star, t_diamond
-from hfree.problems import Instance, ModificationKind
-from hfree.reductions import STEPS
+from hfree.graphs import cycle, join, null_graph, path, star, t_diamond
+from hfree.problems import (
+    STEP_COMPLEMENT,
+    STEP_SPARSE_CASE1,
+    STEP_TDIAMOND,
+    Instance,
+    ModificationKind,
+)
+from hfree.reductions import STEPS, chain_step
+from hfree.smallgraphs import graphs_up_to
 
 
 def write(tmp_path, name, text):
@@ -133,6 +142,23 @@ def test_reduce_missing_flag_exit_2(tmp_path, capsys):
     assert code == 2 and "degree" in err
 
 
+def test_reduce_pattern_flag_must_match_the_step(tmp_path, capsys):
+    # complement-problem and tdiamond-induction derive their own target
+    inst = instance_file(
+        tmp_path, "in.json", cycle(5), 1, t_diamond(2), ModificationKind.DELETION
+    )
+    patt = write(tmp_path, "p5.g6", serialize_graph6(path(5)))
+    for flags in (["--step", "complement-problem"], ["--step", "tdiamond-induction", "--t", "3"]):
+        code, out, err = run(capsys, ["reduce", "--input", inst, "--pattern", patt, *flags])
+        assert code == 2 and out == ""
+        assert f"step {flags[1]} derives its own target" in err
+    code, out, err = run(
+        capsys, ["reduce", "--input", inst, "--step", "degree-reduce", "--degree", "2"]
+    )
+    assert code == 2 and out == ""
+    assert "step degree-reduce needs a target pattern" in err
+
+
 def test_reduce_unknown_step_exit_2(tmp_path, capsys):
     inst = instance_file(
         tmp_path, "in.json", cycle(5), 1, path(3), ModificationKind.DELETION
@@ -157,6 +183,46 @@ def test_reduce_step_choices_follow_the_step_table():
         "sparse-vh-route",
         "sparse-case1",
     ]
+
+
+# sha256 over the stdout and exit code of `hfree reduce` for every distinct
+# CLI-offered step of every classify chain up to 5 vertices, plus the K2,3
+# sparse-case1 step, each run on its own source instance
+GOLDEN_REDUCE_SHA256 = "fc20e32c97915fb25eff7c896de446d566ba0ddb5bc75fedd387857cc1d1586e"
+
+
+def _cli_chain_steps():
+    steps = {}
+    for h in graphs_up_to(5):
+        for kind in ModificationKind:
+            for step in classify(h, kind).chain or ():
+                if STEPS[step.step].cli:
+                    steps.setdefault(json.dumps(step.to_obj()), step)
+    case1 = chain_step(
+        STEP_SPARSE_CASE1, {}, join(null_graph(2), null_graph(3)), ModificationKind.DELETION
+    )
+    steps.setdefault(json.dumps(case1.to_obj()), case1)
+    return list(steps.values())
+
+
+def test_reduce_outputs_are_pinned(tmp_path, capsys):
+    steps = _cli_chain_steps()
+    assert len(steps) == 152
+    digest = hashlib.sha256()
+    for i, step in enumerate(steps):
+        inst = instance_file(
+            tmp_path, f"in{i}.json", path(3), 1, step.source_h, step.source_kind
+        )
+        argv = ["reduce", "--input", inst, "--step", step.step]
+        if "d" in step.params:
+            argv += ["--degree", str(step.params["d"]), "--variant", step.params["variant"]]
+        if "t" in step.params:
+            argv += ["--t", str(step.params["t"])]
+        if step.step not in (STEP_COMPLEMENT, STEP_TDIAMOND):
+            argv += ["--pattern", write(tmp_path, f"h{i}.json", serialize_graph_json(step.target_h))]
+        code, out, _ = run(capsys, argv)
+        digest.update(f"{code}\n".encode() + out.encode())
+    assert digest.hexdigest() == GOLDEN_REDUCE_SHA256
 
 
 def test_solve_exit_codes(tmp_path, capsys):

@@ -281,4 +281,6 @@ def test_pattern_copies_embeddings_agree_with_edge_sets():
             edge(copy.embedding[u], copy.embedding[v]) for u, v in path(3).edges
         )
         assert mapped == copy.edges
-        assert set(copy.embedding.mapping) == set(copy.vertices)
+        # injective onto the copy's vertices
+        assert len(copy.embedding) == len(copy.vertices)
+        assert set(copy.embedding) == set(copy.vertices)

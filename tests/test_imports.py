@@ -1,9 +1,12 @@
 """Static checks on the package source: every module-level import is used,
-and every module-level private name is read somewhere in the package."""
+every module-level private name is read somewhere in the package, and the
+package exports exactly what its `__init__` binds."""
 import ast
 from pathlib import Path
 
 import pytest
+
+import hfree
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hfree"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -97,3 +100,20 @@ def test_no_unused_module_imports(module):
 def test_no_unused_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unused_private_names(sources) == []
+
+
+def test_package_exports_match_the_init_bindings():
+    # every name bound at the top of __init__.py, by an import or an
+    # assignment, is exported once, and every export resolves
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        else:
+            bound.update(_defined_names(node))
+    bound.discard("__all__")
+    assert len(hfree.__all__) == len(set(hfree.__all__))
+    assert set(hfree.__all__) == bound
+    for name in hfree.__all__:
+        assert hasattr(hfree, name), name

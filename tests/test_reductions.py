@@ -39,17 +39,11 @@ from hfree.reductions import (
     chain_step,
     audit_branch_construction,
     audit_clique_construction,
-    complement_reduce,
     construct_adj,
     construct_nonadj,
     construct_tdiamond,
     construction_size,
-    reduce_degree,
-    reduce_degree_max,
-    reduce_sparse_case1,
-    reduce_sparse_vh,
-    reduce_sparse_vl,
-    reduce_tdiamond,
+    reduce_instance,
     replay_chain,
 )
 from hfree.smallgraphs import find_sparse_witness, graphs_up_to
@@ -173,31 +167,31 @@ def test_audit_flags_wrong_vertex_count():
 
 def test_complement_reduce_round_trip():
     inst = Instance(g=cycle(5), k=1, h=path(3), kind=DEL)
-    flipped, step = complement_reduce(inst)
+    flipped, step = reduce_instance(inst, STEP_COMPLEMENT, {})
     assert flipped.kind is ModificationKind.COMPLETION
     assert flipped.g == complement(cycle(5))
     assert flipped.h == complement(path(3))
     assert flipped.k == 1
     assert step.step == STEP_COMPLEMENT
-    back, _ = complement_reduce(flipped)
+    back, _ = reduce_instance(flipped, STEP_COMPLEMENT, {})
     assert back == inst
 
 
 def test_complement_reduce_fixes_editing():
     inst = Instance(g=cycle(5), k=1, h=path(3), kind=ModificationKind.EDITING)
-    flipped, _ = complement_reduce(inst)
+    flipped, _ = reduce_instance(inst, STEP_COMPLEMENT, {})
     assert flipped.kind is ModificationKind.EDITING
 
 
 def test_reduce_degree_frozen():
     inst = Instance(g=complete(2), k=1, h=complete(2), kind=DEL)
-    out, step = reduce_degree(inst, diamond(), 2)
+    out, step = reduce_instance(inst, STEP_DEGREE, {"d": 2}, diamond())
     assert (out.g.n, out.g.m) == (6, 9)
     assert out.h == diamond() and out.k == 1 and out.kind is DEL
     assert step.params == {"d": 2, "variant": "min"}
 
     inst = Instance(g=cycle(5), k=1, h=path(3), kind=DEL)
-    out, _ = reduce_degree(inst, path(5), 1)
+    out, _ = reduce_instance(inst, STEP_DEGREE, {"d": 1}, path(5))
     assert are_isomorphic(out.h, path(5))
     assert out.k == 1
 
@@ -205,14 +199,17 @@ def test_reduce_degree_frozen():
 def test_reduce_degree_precondition_names_both_graphs():
     inst = Instance(g=complete(2), k=1, h=path(3), kind=DEL)
     with pytest.raises(ValueError) as err:
-        reduce_degree(inst, diamond(), 2)
-    assert "degree reduction" in str(err.value)
+        reduce_instance(inst, STEP_DEGREE, {"d": 2}, diamond())
+    source, _ = induced_subgraph(diamond(), diamond_high_pair())
+    assert STEP_DEGREE in str(err.value)
+    assert repr(path(3)) in str(err.value)
+    assert repr(source) in str(err.value)
 
 
 def test_reduce_degree_rejects_degenerate_threshold():
     inst = Instance(g=complete(2), k=1, h=complete(3), kind=DEL)
     with pytest.raises(ValueError):
-        reduce_degree(inst, complete(3), 1)
+        reduce_instance(inst, STEP_DEGREE, {"d": 1}, complete(3))
 
 
 def test_reduce_degree_max_composite():
@@ -220,7 +217,7 @@ def test_reduce_degree_max_composite():
     bowtie = graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     sub, _ = induced_subgraph(bowtie, [1, 2, 3, 4])
     inst = Instance(g=complete(3), k=1, h=sub, kind=DEL)
-    out, step = reduce_degree_max(inst, bowtie, 4)
+    out, step = reduce_instance(inst, STEP_DEGREE, {"d": 4, "variant": "max"}, bowtie)
     assert are_isomorphic(out.h, bowtie)
     assert out.k == 1 and out.kind is DEL
     assert step.params["variant"] == "max"
@@ -229,22 +226,22 @@ def test_reduce_degree_max_composite():
 
 def test_reduce_tdiamond_frozen():
     inst = Instance(g=complete(4), k=1, h=diamond(), kind=DEL)
-    out, step = reduce_tdiamond(inst, 3)
+    out, step = reduce_instance(inst, STEP_TDIAMOND, {"t": 3})
     assert out.g.n == 4 + 6 * 2
     assert are_isomorphic(out.h, t_diamond(3))
     assert step.params == {"t": 3}
 
     with pytest.raises(ValueError):
-        reduce_tdiamond(inst, 2)
+        reduce_instance(inst, STEP_TDIAMOND, {"t": 2})
     completion = Instance(g=complete(4), k=1, h=diamond(), kind=ModificationKind.COMPLETION)
     with pytest.raises(ValueError):
-        reduce_tdiamond(completion, 3)
+        reduce_instance(completion, STEP_TDIAMOND, {"t": 3})
 
 
 def test_reduce_sparse_vl_shapes():
     inst = Instance(g=null_graph(1), k=1, h=null_graph(1), kind=DEL)
     with pytest.raises(ValueError):
-        reduce_sparse_vl(inst, complete(4))  # not sparse two-degree
+        reduce_instance(inst, STEP_SPARSE_VL, {}, complete(4))  # not sparse two-degree
 
     w = find_sparse_witness(0, 1)  # one edge down low
     probe, step = _vl_probe(w)
@@ -266,7 +263,7 @@ def _vl_probe(w):
     keep = sorted(set(range(w.n)) - set(pair))
     sub, _ = induced_subgraph(w, keep)
     inst = Instance(g=complete(2), k=1, h=sub, kind=DEL)
-    return reduce_sparse_vl(inst, w)
+    return reduce_instance(inst, STEP_SPARSE_VL, {}, w)
 
 
 def test_reduce_sparse_vh_composite_matches_direct():
@@ -280,17 +277,17 @@ def test_reduce_sparse_vh_composite_matches_direct():
     v_prime = sorted(shape.v_low | set(pair))
     sub, _ = induced_subgraph(w, v_prime)
     inst = Instance(g=complete(2), k=1, h=sub, kind=DEL)
-    out, step = reduce_sparse_vh(inst, w)
+    out, step = reduce_instance(inst, STEP_SPARSE_VH, {}, w)
     assert step.step == STEP_SPARSE_VH
     assert out.kind is DEL and out.k == 1
     assert are_isomorphic(out.h, w)
     assert len(v_prime) == len(shape.v_low) + 2 < w.n
 
     # replaying the recorded composite by hand lands on the same instance
-    flipped, _ = complement_reduce(inst)
+    flipped, _ = reduce_instance(inst, STEP_COMPLEMENT, {})
     g_mid, _ = construct_nonadj(flipped.g, flipped.k, complement(w), v_prime)
     mid = Instance(g=g_mid, k=1, h=complement(w), kind=ModificationKind.COMPLETION)
-    direct, _ = complement_reduce(mid)
+    direct, _ = reduce_instance(mid, STEP_COMPLEMENT, {})
     assert direct == out
     assert [s["step"] for s in step.execution.metadata["composite"]] == [
         STEP_COMPLEMENT,
@@ -303,11 +300,12 @@ def test_reduce_sparse_vh_rejects_clique_joined_patterns():
     sub, _ = induced_subgraph(t_diamond(3), [0, 1, 2, 3])
     inst = Instance(g=complete(2), k=1, h=sub, kind=DEL)
     with pytest.raises(ValueError):
-        reduce_sparse_vh(inst, t_diamond(3))
+        reduce_instance(inst, STEP_SPARSE_VH, {}, t_diamond(3))
 
 
 def test_reduce_sparse_case1_frozen():
-    out, step = reduce_sparse_case1(complete(2), 1, k23())
+    seed = Instance(g=complete(2), k=1, h=path(3), kind=DEL)
+    out, step = reduce_instance(seed, STEP_SPARSE_CASE1, {}, k23())
     assert step.step == STEP_SPARSE_CASE1
     # the source is the pattern's own 3-path, labelled as in k23, not path(3)
     assert step.source_h == graph_from_edges(3, [(0, 1), (0, 2)])
@@ -320,7 +318,7 @@ def test_reduce_sparse_case1_frozen():
     assert out.g.n == plain.n
 
     with pytest.raises(ValueError):
-        reduce_sparse_case1(complete(2), 1, path(4))  # edge in the high class
+        reduce_instance(seed, STEP_SPARSE_CASE1, {}, path(4))  # edge in the high class
 
 
 # ---------------------------------------------------------------- equivalences
@@ -335,14 +333,14 @@ def _answers_match(inst, out):
 def test_degree_step_preserves_answers_small():
     for g in graphs_up_to(3):
         inst = Instance(g=g, k=1, h=complete(2), kind=DEL)
-        out, _ = reduce_degree(inst, diamond(), 2)
+        out, _ = reduce_instance(inst, STEP_DEGREE, {"d": 2}, diamond())
         assert _answers_match(inst, out)
 
 
 def test_tdiamond_step_preserves_answers_small():
     for g in graphs_up_to(3):
         inst = Instance(g=g, k=1, h=diamond(), kind=DEL)
-        out, _ = reduce_tdiamond(inst, 3)
+        out, _ = reduce_instance(inst, STEP_TDIAMOND, {"t": 3})
         assert _answers_match(inst, out)
 
 
@@ -351,7 +349,7 @@ def test_tdiamond_step_preserves_answers_small():
 
 def test_apply_step_checks_source():
     inst = Instance(g=complete(4), k=1, h=diamond(), kind=DEL)
-    _, step = reduce_tdiamond(inst, 3)
+    _, step = reduce_instance(inst, STEP_TDIAMOND, {"t": 3})
 
     wrong_kind = Instance(g=complete(4), k=1, h=diamond(), kind=ModificationKind.EDITING)
     with pytest.raises(ValueError):
@@ -412,14 +410,16 @@ def test_replay_chain_empty_and_single():
     seed = Instance(g=complete(4), k=2, h=diamond(), kind=DEL)
     assert replay_chain([], seed) == seed
 
-    _, step = reduce_tdiamond(seed, 3)
-    direct, _ = reduce_tdiamond(seed, 3)
+    _, step = reduce_instance(seed, STEP_TDIAMOND, {"t": 3})
+    direct, _ = reduce_instance(seed, STEP_TDIAMOND, {"t": 3})
     assert replay_chain([step], seed) == direct
 
 
 def test_replay_chain_wraps_failures_with_position():
     seed = Instance(g=complete(4), k=2, h=path(4), kind=DEL)
-    _, step = reduce_tdiamond(Instance(g=complete(4), k=2, h=diamond(), kind=DEL), 3)
+    _, step = reduce_instance(
+        Instance(g=complete(4), k=2, h=diamond(), kind=DEL), STEP_TDIAMOND, {"t": 3}
+    )
     with pytest.raises(ContractViolationError) as err:
         replay_chain([step], seed)
     assert "index 0" in str(err.value)
@@ -487,7 +487,17 @@ def test_replay_keeps_k_and_reaches_the_pattern(problem, host, k):
     except ConstructionCapExceeded:
         return
     assert out.k == k and out.kind is kind
-    assert are_isomorphic(out.h, h)
+    assert out.h == h
+
+
+def test_every_hard_replay_ends_at_exactly_the_pattern():
+    # the last step's target is the pattern itself, not a relabelled copy
+    for h, kind in HARD_PROBLEMS:
+        chain, base = build_chain(h, kind)
+        for host in (null_graph(1), path(3)):
+            seed = Instance(g=host, k=1, h=base.graph, kind=base.kind)
+            out = replay_chain(chain, seed)
+            assert (out.h, out.kind, out.k) == (h, kind, 1)
 
 
 def test_construction_size_matches_built_outputs():
@@ -538,7 +548,7 @@ def test_complement_and_tdiamond_caps_refuse_before_building():
 
     edgeless = Instance(g=graph_from_edges(1500, []), k=1, h=path(3), kind=DEL)
     with pytest.raises(ConstructionCapExceeded, match="1124250 edges"):
-        complement_reduce(edgeless)
+        reduce_instance(edgeless, STEP_COMPLEMENT, {})
     # 9 host edges, each with a 1001-clique joined to both of its ends
     with pytest.raises(
         ConstructionCapExceeded, match="9019 vertices and 4522527 edges"

@@ -4,8 +4,8 @@ import json
 import pytest
 
 from hfree.graphs import complete, t_diamond
-from hfree.problems import Instance, ModificationKind
-from hfree.reductions import reduce_tdiamond
+from hfree.problems import STEP_TDIAMOND, Instance, ModificationKind
+from hfree.reductions import reduce_instance
 from hfree.verify import (
     SUITE_NAMES,
     run_audit_suite,
@@ -19,7 +19,7 @@ from hfree.verify import (
 
 def tdiamond_step():
     inst = Instance(g=complete(2), k=1, h=t_diamond(2), kind=ModificationKind.DELETION)
-    _, step = reduce_tdiamond(inst, 3)
+    _, step = reduce_instance(inst, STEP_TDIAMOND, {"t": 3})
     return step
 
 
