@@ -17,6 +17,7 @@ so JSON wins ties by decree).
 """
 from __future__ import annotations
 
+import base64
 import json
 import re
 from typing import Any
@@ -25,10 +26,15 @@ from .graphs import Graph, bits, edge
 
 _HEADER = ">>graph6<<"
 _NOT_GRAPH6 = re.compile(r"[^?-~]")
-# Each graph6 body character and the six bits it carries, most significant
-# first.
-_FROM_BITS = {format(v, "06b"): chr(v + 63) for v in range(64)}
-_TO_BITS = str.maketrans({c: b for b, c in _FROM_BITS.items()})
+# A graph6 body character carries six bits, most significant first, as a
+# base64 digit does: the body is the base64 text of the bit stream with
+# each digit's character moved to chr(value + 63).
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_B64_TO_GRAPH6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_GRAPH6_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _B64)
+# Each byte with its bit order reversed: the columns pack the stream least
+# significant bit first, and base64 reads it most significant bit first.
+_REVERSED = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
 
 
 class GraphParseError(ValueError):
@@ -70,14 +76,15 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(s) - pos > bytes_needed:
         raise GraphParseError("unexpected bytes after graph6 body", pos + bytes_needed)
+    body = s[pos:].encode("ascii").translate(_GRAPH6_TO_B64)
+    stream = base64.b64decode(body + b"A" * (-len(body) % 4)).translate(_REVERSED)
     edges = []
     for j in range(1, n):
-        # column j, from bit j(j-1)/2 of the body on, holds x(0,j) .. x(j-1,j):
-        # vertex j's lower neighbours
+        # column j, from bit j(j-1)/2 of the stream on, holds x(0,j) ..
+        # x(j-1,j): vertex j's lower neighbours
         first = j * (j - 1) // 2
-        chars = s[pos + first // 6 : pos + (first + j + 5) // 6].translate(_TO_BITS)
-        column = chars[first % 6 : first % 6 + j]
-        edges.extend((i, j) for i in bits(int(column[::-1], 2)))
+        chunk = int.from_bytes(stream[first >> 3 : (first + j + 7) >> 3], "little")
+        edges.extend((i, j) for i in bits(chunk >> (first & 7) & ((1 << j) - 1)))
     return Graph(n, frozenset(edges))
 
 
@@ -89,16 +96,22 @@ def serialize_graph6(g: Graph) -> str:
         size = chr(n + 63)
     else:
         size = "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
-    out = [size]
-    pending = ""  # body bits not yet written: fewer than six between columns
+    # the stream packs column after column, least significant bit first;
+    # whole bytes go out as soon as a column completes them
+    out = []
+    pending = width = 0  # bits not yet written out, fewer than eight
     for j in range(1, n):
-        pending += format(g.masks[j] & ((1 << j) - 1), f"0{j}b")[::-1]
-        cut = len(pending) - len(pending) % 6
-        out.append("".join([_FROM_BITS[pending[i : i + 6]] for i in range(0, cut, 6)]))
-        pending = pending[cut:]
-    if pending:
-        out.append(_FROM_BITS[pending.ljust(6, "0")])
-    return "".join(out)
+        pending |= (g.masks[j] & ((1 << j) - 1)) << width
+        width += j
+        whole = width >> 3
+        out.append(pending.to_bytes(whole + 1, "little")[:whole])
+        pending >>= whole << 3
+        width &= 7
+    out.append(pending.to_bytes((width + 7) >> 3, "little"))
+    stream = b"".join(out).translate(_REVERSED)
+    digits = base64.b64encode(stream + bytes(-len(stream) % 3))
+    body = digits[: (n * (n - 1) // 2 + 5) // 6].translate(_B64_TO_GRAPH6)
+    return size + body.decode("ascii")
 
 
 def graph_to_obj(g: Graph) -> dict[str, Any]:

@@ -421,8 +421,110 @@ def isomorphism_extending(
     return find_induced_embedding(b, a, forced=forced)
 
 
+def _refine(nbr: dict[int, int], cells: list[int], todo: list[int]) -> list[int]:
+    """Split the ordered partition `cells` (vertex bitmasks) until it is
+    equitable: every vertex of a cell has as many neighbours in each cell
+    as the others.  `todo` holds the cells the partition may not yet be
+    equitable against; `nbr` maps each vertex bit to its neighbour mask.
+    A split cell's parts take its place, ordered by that neighbour count."""
+    n = len(nbr)
+    while todo and len(cells) < n:
+        splitter = todo.pop()
+        out = []
+        for cell in cells:
+            if cell & (cell - 1):
+                parts: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    count = (nbr[low] & splitter).bit_count()
+                    parts[count] = parts.get(count, 0) | low
+                if len(parts) > 1:
+                    split = [parts[c] for c in sorted(parts)]
+                    out += split
+                    todo += split
+                    continue
+            out.append(cell)
+        cells = out
+    return cells
+
+
+def _canonical_search(g: Graph) -> tuple[tuple[int, ...], int]:
+    """The certificate and the automorphism count of g, by colour
+    refinement and individualisation (McKay & Piperno, "Practical graph
+    isomorphism II", 2014); it reads g only through its masks.
+
+    The search refines an ordered partition of the vertices, starting from
+    the degree classes, to an equitable one, then individualises each
+    vertex of the first non-singleton cell in turn and refines again, down
+    to discrete partitions: the leaves, each an order of the vertices.  The
+    certificate is the greatest masks tuple relabelled by a leaf's order,
+    so two graphs get the same one iff they are isomorphic.  Swapping two
+    twins (same neighbours apart from each other) is an automorphism that
+    fixes the partition, so their subtrees mirror each other: only one
+    twin of a class is individualised, weighted by the class size.  |Aut|
+    is the total weight of the leaves that reach the certificate.
+    """
+    nbr: dict[int, int] = {}
+    classes: dict[int, int] = {}
+    for v, mask in enumerate(g.masks):
+        nbr[1 << v] = mask
+        degree = mask.bit_count()
+        classes[degree] = classes.get(degree, 0) | 1 << v
+    start = [classes[d] for d in sorted(classes)]
+    best: tuple[int, ...] = ()
+    total = 0
+    stack = [(start, start[:], 1)]  # (partition, its pending splitters, weight)
+    while stack:
+        cells, todo, weight = stack.pop()
+        cells = _refine(nbr, cells, todo)
+        if len(cells) == len(nbr):
+            place = {cell: 1 << i for i, cell in enumerate(cells)}
+            form = []
+            for cell in cells:
+                image = 0
+                rest = nbr[cell]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    image |= place[low]
+                form.append(image)
+            leaf = tuple(form)
+            if leaf > best or not total:
+                best, total = leaf, weight
+            elif leaf == best:
+                total += weight
+            continue
+        i = 0
+        while not cells[i] & (cells[i] - 1):
+            i += 1
+        cell = rest = cells[i]
+        while rest:
+            one = rest & -rest
+            twins = 0
+            others = rest
+            while others:
+                low = others & -others
+                others ^= low
+                if not (nbr[one] ^ nbr[low]) & ~(one | low):
+                    twins |= low
+            rest &= ~twins
+            child = cells[:i] + [one, cell ^ one] + cells[i + 1 :]
+            stack.append((child, [one], weight * twins.bit_count()))
+    return best, total
+
+
+def certificate(g: Graph) -> tuple[int, ...]:
+    """A canonical form of g: two graphs have the same certificate iff
+    they are isomorphic."""
+    return _canonical_search(g)[0]
+
+
 def automorphism_count(g: Graph) -> int:
-    return sum(1 for _ in induced_embeddings(g, g))
+    """|Aut(g)|, counted by the canonical search without listing the
+    automorphisms."""
+    return _canonical_search(g)[1]
 
 
 @dataclass(frozen=True)

@@ -84,12 +84,7 @@ class ReductionStep:
     execution: StepExecution | None = None
 
     def __post_init__(self) -> None:
-        spec = STEPS.get(self.step)
-        if spec is None:
-            raise ValueError(f"unknown reduction step kind {self.step!r}")
-        missing = [p for p in spec.params if p not in self.params]
-        if missing:
-            raise ValueError(f"step {self.step} needs params {missing}")
+        _spec(self.step, self.params)
 
     def to_obj(self, *, include_endpoints: bool = True) -> dict[str, Any]:
         obj: dict[str, Any] = {
@@ -175,12 +170,14 @@ def construction_size(
     construct_adj) output, without building it.  Every placement of
     h[v_prime] on the host's vertices gets k+1 branches of the pattern's
     other vertices, each carrying the pattern edges that touch them, and
-    there are n!/(n-p)!/|Aut(h[v_prime])| placements of p vertices on n.
-    Joining adds an edge between every two branch vertices of distinct
-    branches."""
+    there are n!/(n-p)!/|Aut(h[v_prime])| placements of p vertices on n
+    (|Aut| is counted only when n!/(n-p)! is not zero).  Joining adds an
+    edge between every two branch vertices of distinct branches."""
     vp = sorted(set(v_prime))
-    sub, _ = induced_subgraph(h, vp)
-    branches = perm(g_prime.n, len(vp)) // automorphism_count(sub) * (k + 1)
+    branches = perm(g_prime.n, len(vp))
+    if branches:
+        sub, _ = induced_subgraph(h, vp)
+        branches = branches // automorphism_count(sub) * (k + 1)
     outside = h.n - len(vp)
     touching = sum(1 for a, b in h.edges if a not in vp or b not in vp)
     n = g_prime.n + branches * outside
@@ -515,12 +512,23 @@ STEPS: dict[str, StepSpec] = {
 }
 
 
+def _spec(name: str, params: dict[str, Any]) -> StepSpec:
+    """The spec of step `name`, once `params` holds every param it reads."""
+    spec = STEPS.get(name)
+    if spec is None:
+        raise ValueError(f"unknown reduction step kind {name!r}")
+    missing = [p for p in spec.params if p not in params]
+    if missing:
+        raise ValueError(f"step {name} needs params {missing}")
+    return spec
+
+
 def chain_step(
     name: str, params: dict[str, Any], h: Graph, kind: ModificationKind
 ) -> ReductionStep:
     """The unexecuted step `name` into the problem (h, kind), with its
     source problem and recorded params as STEPS derives them."""
-    source_h, source_kind, recorded = STEPS[name].source(h, kind, params)
+    source_h, source_kind, recorded = _spec(name, params).source(h, kind, params)
     return ReductionStep(name, recorded, source_h, source_kind, h, kind)
 
 
@@ -558,7 +566,7 @@ def reduce_instance(
     (complement-problem, tdiamond-induction) take no h.  Returns the output
     instance with the executed step, whose source pattern is the one the
     step derives from h, whatever labels the instance's pattern carries."""
-    derive = STEPS[name].target
+    derive = _spec(name, params).target
     if derive is not None:
         if h is not None:
             raise ValueError(f"step {name} derives its own target and takes no pattern")

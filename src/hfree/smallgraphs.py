@@ -3,10 +3,10 @@ searches over degree-constrained families.
 
 Enumeration works level by level: every n-vertex graph arises from some
 (n-1)-vertex graph by attaching one new vertex, so each level extends the
-previous one and dedupes with a color-refinement signature followed by an
-exact isomorphism check inside each signature bucket.  Everything is
-deterministic, so the enumeration order (and any "first hit" search over
-it) is stable across runs.
+previous one and keeps a candidate iff its canonical certificate
+(`graphs.certificate`) is new: the first graph of each isomorphism class
+is its representative.  Everything is deterministic, so the enumeration
+order (and any "first hit" search over it) is stable across runs.
 """
 from __future__ import annotations
 
@@ -14,24 +14,8 @@ import itertools
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import Graph, are_isomorphic, bits
+from .graphs import Graph, certificate
 from .problems import recognize_sparse_lh
-
-
-def refinement_signature(g: Graph) -> tuple:
-    """Isomorphism-invariant bucket key via iterated degree refinement."""
-    colors = list(g.degrees)
-    for _ in range(g.n):
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in bits(g.masks[v]))))
-            for v in g.vertices
-        ]
-        palette = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new = [palette[k] for k in keys]
-        if new == colors:
-            break
-        colors = new
-    return (g.n, g.m, tuple(sorted(colors)))
 
 
 @lru_cache(maxsize=None)
@@ -42,15 +26,14 @@ def graphs_with_vertex_count(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1),)
     out: list[Graph] = []
-    buckets: dict[tuple, list[Graph]] = {}
+    seen: set[tuple[int, ...]] = set()
     for base in graphs_with_vertex_count(n - 1):
         for r in range(n):
             for attach in itertools.combinations(range(n - 1), r):
                 g = Graph(n, base.edges | {(u, n - 1) for u in attach})
-                sig = refinement_signature(g)
-                bucket = buckets.setdefault(sig, [])
-                if not any(are_isomorphic(g, seen) for seen in bucket):
-                    bucket.append(g)
+                key = certificate(g)
+                if key not in seen:
+                    seen.add(key)
                     out.append(g)
     return tuple(out)
 

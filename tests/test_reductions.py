@@ -404,6 +404,16 @@ def test_reduction_step_rejects_unknown_names_and_missing_params():
     with pytest.raises(ValueError, match="needs params"):
         step(STEP_TDIAMOND, {})
     assert step(STEP_TDIAMOND, {"t": 3}).params == {"t": 3}
+    # chain_step and reduce_instance check the same before deriving a source
+    inst = Instance(g=path(3), k=1, h=path(3), kind=DEL)
+    with pytest.raises(ValueError, match="unknown reduction step kind 'bogus'"):
+        chain_step("bogus", {}, path(5), DEL)
+    with pytest.raises(ValueError, match="unknown reduction step kind 'bogus'"):
+        reduce_instance(inst, "bogus", {}, path(5))
+    with pytest.raises(ValueError, match=r"step degree-reduce needs params \['d'\]"):
+        chain_step(STEP_DEGREE, {}, path(5), DEL)
+    with pytest.raises(ValueError, match=r"step degree-reduce needs params \['d'\]"):
+        reduce_instance(inst, STEP_DEGREE, {}, path(5))
 
 
 def test_replay_chain_empty_and_single():

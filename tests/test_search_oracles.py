@@ -1,7 +1,9 @@
-"""The graph core's adjacency helpers, the induced-copy search and the two
-solvers against independent oracles: networkx's graph algorithms and induced
-subgraph matcher, and each other on drawn instances."""
+"""The graph core's adjacency helpers, the induced-copy search, the
+canonical search and the two solvers against independent oracles:
+networkx's graph algorithms, isomorphism test and matcher, and each other on
+drawn instances."""
 import itertools
+import math
 
 import networkx as nx
 from hypothesis import given, settings
@@ -10,12 +12,21 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from hfree.graphs import (
     Graph,
+    automorphism_count,
+    certificate,
     complement,
+    complete,
     connected_components,
+    cycle,
+    disjoint_union,
+    graph_from_edges,
     induced_embeddings,
     is_forest,
+    join,
+    null_graph,
 )
 from hfree.problems import ModificationKind
+from hfree.smallgraphs import graphs_up_to
 from hfree.solve import check_witness, solve_branching, solve_bruteforce
 
 
@@ -80,6 +91,50 @@ def test_forced_embeddings_filter_the_unpinned_ones(host, pattern, data):
         if all(m[v] == w for v, w in forced.items())
     ]
     assert got == want
+
+
+def relabelled(g: Graph, perm) -> Graph:
+    return graph_from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(0, 8), graphs(0, 8), st.data())
+def test_certificate_decides_isomorphism_like_networkx(a, b, data):
+    assert (certificate(a) == certificate(b)) == nx.is_isomorphic(to_nx(a), to_nx(b))
+    perm = data.draw(st.permutations(range(a.n)))
+    assert certificate(relabelled(a, perm)) == certificate(a)
+
+
+def test_certificate_splits_regular_pairs():
+    # colour refinement alone leaves each pair's vertices in one cell
+    prism = graph_from_edges(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    )
+    k33 = join(null_graph(3), null_graph(3))
+    two_triangles = disjoint_union(complete(3), complete(3))
+    for a, b in ((cycle(6), two_triangles), (k33, prism)):
+        assert not nx.is_isomorphic(to_nx(a), to_nx(b))
+        assert certificate(a) != certificate(b)
+    assert [automorphism_count(g) for g in (cycle(6), two_triangles, k33, prism)] == [
+        12,
+        72,
+        72,
+        12,
+    ]
+
+
+def test_automorphism_count_matches_networkx():
+    for g in graphs_up_to(6):
+        want = sum(1 for _ in GraphMatcher(to_nx(g), to_nx(g)).isomorphisms_iter())
+        assert automorphism_count(g) == want, g
+    matching = graph_from_edges(6, [(0, 1), (2, 3), (4, 5)])
+    two_squares = disjoint_union(cycle(4), cycle(4))
+    assert automorphism_count(null_graph(9)) == math.factorial(9) == 362_880
+    assert automorphism_count(complete(8)) == math.factorial(8)
+    assert automorphism_count(cycle(9)) == 18
+    assert automorphism_count(two_squares) == 2 * 8 * 8
+    assert automorphism_count(matching) == math.factorial(3) * 2**3
+    assert automorphism_count(Graph(0)) == 1
 
 
 @settings(max_examples=150, deadline=None)

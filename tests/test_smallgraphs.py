@@ -1,4 +1,5 @@
 """Exhaustive small-graph enumeration and sparse witness search."""
+import hashlib
 import itertools
 from collections import defaultdict
 
@@ -49,6 +50,17 @@ def test_enumeration_matches_the_networkx_atlas():
             assert len(hits) == 1
             bucket.remove(hits[0])
         assert not any(ours.values())
+
+
+def test_enumeration_at_8_is_pinned():
+    # OEIS A000088: 12,346 graphs on 8 vertices.  The digest of the graph6
+    # list pins the representatives and their order.
+    graphs = graphs_with_vertex_count(8)
+    assert len(graphs) == 12346
+    listing = "\n".join(serialize_graph6(g) for g in graphs).encode()
+    assert hashlib.sha256(listing).hexdigest() == (
+        "3ce1400bdb87fef4a81ce410625fbaf3a0dd471639e15828c722d84d7c48fb5d"
+    )
 
 
 def test_enumeration_is_isomorphism_free():
