@@ -76,15 +76,20 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(s) - pos > bytes_needed:
         raise GraphParseError("unexpected bytes after graph6 body", pos + bytes_needed)
-    body = s[pos:].encode("ascii").translate(_GRAPH6_TO_B64)
-    stream = base64.b64decode(body + b"A" * (-len(body) % 4)).translate(_REVERSED)
+    # the body is read as a bit stream packed least significant bit first,
+    # in whole groups of four characters (24 bits) as the columns need
+    # them; column j holds x(0,j) .. x(j-1,j): vertex j's lower neighbours
     edges = []
+    pending = width = 0  # stream bits read but not yet used
     for j in range(1, n):
-        # column j, from bit j(j-1)/2 of the stream on, holds x(0,j) ..
-        # x(j-1,j): vertex j's lower neighbours
-        first = j * (j - 1) // 2
-        chunk = int.from_bytes(stream[first >> 3 : (first + j + 7) >> 3], "little")
-        edges.extend((i, j) for i in bits(chunk >> (first & 7) & ((1 << j) - 1)))
+        if width < j:
+            count = (j - width + 23) // 24 * 4
+            pending |= _stream(s[pos : pos + count]) << width
+            width += 6 * count
+            pos += count
+        edges.extend((i, j) for i in bits(pending & ((1 << j) - 1)))
+        pending >>= j
+        width -= j
     return Graph(n, frozenset(edges))
 
 
@@ -97,21 +102,37 @@ def serialize_graph6(g: Graph) -> str:
     else:
         size = "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
     # the stream packs column after column, least significant bit first;
-    # whole bytes go out as soon as a column completes them
-    out = []
-    pending = width = 0  # bits not yet written out, fewer than eight
+    # every whole 24 bits go out as four characters once a column completes
+    # them
+    out = [size]
+    pending = width = 0  # stream bits not yet written out, fewer than 24
     for j in range(1, n):
         pending |= (g.masks[j] & ((1 << j) - 1)) << width
         width += j
-        whole = width >> 3
-        out.append(pending.to_bytes(whole + 1, "little")[:whole])
-        pending >>= whole << 3
-        width &= 7
-    out.append(pending.to_bytes((width + 7) >> 3, "little"))
-    stream = b"".join(out).translate(_REVERSED)
-    digits = base64.b64encode(stream + bytes(-len(stream) % 3))
-    body = digits[: (n * (n - 1) // 2 + 5) // 6].translate(_B64_TO_GRAPH6)
-    return size + body.decode("ascii")
+        if width >= 24:
+            groups = width // 24
+            out.append(_characters(pending, 3 * groups))
+            pending >>= 24 * groups
+            width -= 24 * groups
+    if width:
+        out.append(_characters(pending, 3)[: (width + 5) // 6])
+    return "".join(out)
+
+
+def _stream(chars: str) -> int:
+    """The bits that graph6 characters carry, packed least significant bit
+    first."""
+    data = chars.encode("ascii").translate(_GRAPH6_TO_B64)
+    data = base64.b64decode(data + b"A" * (-len(data) % 4)).translate(_REVERSED)
+    return int.from_bytes(data, "little")
+
+
+def _characters(stream: int, size: int) -> str:
+    """graph6 characters for the low `size` bytes of a bit stream packed
+    least significant bit first; `size` is a multiple of 3."""
+    low = stream & ((1 << 8 * size) - 1)
+    data = low.to_bytes(size, "little").translate(_REVERSED)
+    return base64.b64encode(data).translate(_B64_TO_GRAPH6).decode("ascii")
 
 
 def graph_to_obj(g: Graph) -> dict[str, Any]:
