@@ -405,6 +405,8 @@ def enumerate_induced_copies(g: Graph, h: Graph) -> list[frozenset[int]]:
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:
+    if a == b:
+        return True
     if a.n != b.n or a.m != b.m:
         return False
     if sorted(a.degrees) != sorted(b.degrees):

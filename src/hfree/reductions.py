@@ -445,8 +445,9 @@ def _through_complement(
     ]
     composite = []
     for hop in hops:
-        inst, done = _run_step(hop, inst)
-        composite.append(done.to_obj())
+        out, metadata = _run_step(hop, inst)
+        composite.append(_executed(hop, inst, out, metadata).to_obj())
+        inst = out
     return inst.g, {"composite": composite}
 
 
@@ -532,19 +533,18 @@ def chain_step(
     return ReductionStep(name, recorded, source_h, source_kind, h, kind)
 
 
-def _run_step(step: ReductionStep, inst: Instance) -> tuple[Instance, ReductionStep]:
+def _run_step(step: ReductionStep, inst: Instance) -> tuple[Instance, dict[str, Any]]:
     """Build `step` on `inst`, which must be an instance of its source
-    problem.  The output keeps the budget and is an instance of the step's
-    target problem by construction."""
+    problem; returns the output with the execution metadata.  The output
+    keeps the budget and is an instance of the step's target problem by
+    construction."""
     g, metadata = STEPS[step.step].build(step, inst)
-    out = Instance(g, inst.k, step.target_h, step.target_kind)
-    execution = StepExecution(inst.summary(), out.summary(), metadata)
-    return out, replace(step, execution=execution)
+    return Instance(g, inst.k, step.target_h, step.target_kind), metadata
 
 
-def _execute_step(step: ReductionStep, inst: Instance) -> tuple[Instance, ReductionStep]:
+def _execute_step(step: ReductionStep, inst: Instance) -> tuple[Instance, dict[str, Any]]:
     """Check that `inst` is an instance of the step's source problem, then
-    run the step on it; returns the output with the executed step."""
+    run the step on it."""
     if inst.kind is not step.source_kind:
         raise ValueError(
             f"instance kind {inst.kind.value} does not match the step's "
@@ -556,6 +556,13 @@ def _execute_step(step: ReductionStep, inst: Instance) -> tuple[Instance, Reduct
             f"to the step's source pattern {step.source_h!r}"
         )
     return _run_step(step, inst)
+
+
+def _executed(
+    step: ReductionStep, inst: Instance, out: Instance, metadata: dict[str, Any]
+) -> ReductionStep:
+    """`step` with the record of its run from `inst` to `out`."""
+    return replace(step, execution=StepExecution(inst.summary(), out.summary(), metadata))
 
 
 def reduce_instance(
@@ -575,7 +582,9 @@ def reduce_instance(
         raise ValueError(f"step {name} needs a target pattern")
     else:
         kind = inst.kind
-    return _execute_step(chain_step(name, params, h, kind), inst)
+    step = chain_step(name, params, h, kind)
+    out, metadata = _execute_step(step, inst)
+    return out, _executed(step, inst, out, metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ Enumeration works level by level: every n-vertex graph arises from some
 (n-1)-vertex graph by attaching one new vertex, so each level extends the
 previous one and keeps a candidate iff its canonical certificate
 (`graphs.certificate`) is new: the first graph of each isomorphism class
-is its representative.  Everything is deterministic, so the enumeration
-order (and any "first hit" search over it) is stable across runs.
+is its representative.  An attach set that a twin swap in the base maps to
+an earlier one cannot be first, so it is skipped before its certificate is
+computed (at n = 8, 94,956 of 133,632 candidates are left).  Everything is
+deterministic, so the enumeration order (and any "first hit" search over
+it) is stable across runs.
 """
 from __future__ import annotations
 
@@ -28,14 +31,33 @@ def graphs_with_vertex_count(n: int) -> tuple[Graph, ...]:
     out: list[Graph] = []
     seen: set[tuple[int, ...]] = set()
     for base in graphs_with_vertex_count(n - 1):
-        for r in range(n):
-            for attach in itertools.combinations(range(n - 1), r):
-                g = Graph(n, base.edges | {(u, n - 1) for u in attach})
-                key = certificate(g)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(g)
+        for attach in _attach_sets(base):
+            g = Graph(n, base.edges | {(u, n - 1) for u in attach})
+            key = certificate(g)
+            if key not in seen:
+                seen.add(key)
+                out.append(g)
     return tuple(out)
+
+
+def _attach_sets(base: Graph) -> Iterator[tuple[int, ...]]:
+    """The vertex sets of `base` that a new vertex is attached to, in
+    `itertools.combinations` order by size, less those that hold a vertex
+    v but not its previous twin: the greatest u < v with the same
+    neighbours outside {u, v}.  Swapping u and v is an automorphism of
+    `base` that maps such a set to an earlier one, so its graph is never
+    the first of its isomorphism class."""
+    masks = base.masks
+    twins = []
+    for v in range(1, base.n):
+        for u in range(v - 1, -1, -1):
+            if (masks[u] ^ masks[v]) & ~(1 << u | 1 << v) == 0:
+                twins.append((u, v))
+                break
+    for r in range(base.n + 1):
+        for attach in itertools.combinations(range(base.n), r):
+            if all(u in attach or v not in attach for u, v in twins):
+                yield attach
 
 
 def graphs_up_to(n_max: int, n_min: int = 1) -> Iterator[Graph]:

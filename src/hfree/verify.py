@@ -286,42 +286,45 @@ def run_classify_suite(n_cap: int) -> dict[str, Any]:
     violations: list[str] = []
     polynomial = 0
     npcomplete = 0
+
+    def flag(h: Graph, kind: ModificationKind, problem: str) -> None:
+        violations.append(f"{serialize_graph6(h)}/{kind.value}: {problem}")
+
     for h in graphs_up_to(n_cap):
         for kind in ModificationKind:
-            tag = f"{serialize_graph6(h)}/{kind.value}"
             expected, reason = _expected_verdict(h, kind)
             got = classify(h, kind)
             if got.verdict != expected:
-                violations.append(f"{tag}: verdict {got.verdict}, expected {expected}")
+                flag(h, kind, f"verdict {got.verdict}, expected {expected}")
                 continue
             if expected == "Polynomial":
                 polynomial += 1
                 if got.reason != reason:
-                    violations.append(f"{tag}: reason {got.reason}, expected {reason}")
+                    flag(h, kind, f"reason {got.reason}, expected {reason}")
                 continue
             npcomplete += 1
             if got.chain is None or got.base is None:
-                violations.append(f"{tag}: hard verdict without a chain")
+                flag(h, kind, "hard verdict without a chain")
                 continue
             if got.chain and got.chain[0].target_h != h:
-                violations.append(f"{tag}: chain does not start at the pattern")
+                flag(h, kind, "chain does not start at the pattern")
             if got.chain and got.base.graph != got.chain[-1].source_h:
-                violations.append(f"{tag}: chain does not end at the anchor")
+                flag(h, kind, "chain does not end at the anchor")
             for i in range(len(got.chain) - 1):
                 if got.chain[i].source_h != got.chain[i + 1].target_h:
-                    violations.append(f"{tag}: chain breaks at index {i}")
+                    flag(h, kind, f"chain breaks at index {i}")
             seed = Instance(
                 g=null_graph(1), k=1, h=got.base.graph, kind=got.base.kind
             )
             try:
                 replayed = replay_chain(got.chain, seed)
             except ContractViolationError as exc:
-                violations.append(f"{tag}: replay failed: {exc}")
+                flag(h, kind, f"replay failed: {exc}")
                 continue
             if replayed.k != 1:
-                violations.append(f"{tag}: replay changed the budget")
+                flag(h, kind, "replay changed the budget")
             if not are_isomorphic(replayed.h, h) or replayed.kind is not kind:
-                violations.append(f"{tag}: replay ended at the wrong problem")
+                flag(h, kind, "replay ended at the wrong problem")
     return {
         "suite": "classify",
         "n_cap": n_cap,

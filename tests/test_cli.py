@@ -308,3 +308,13 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "classify" in proc.stdout
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "hfree", "--help"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert "classify" in proc.stdout

@@ -9,12 +9,14 @@ from hfree.graphs import (
     complete,
     cycle,
     delete_edges,
+    disjoint_union,
     edge,
     graph_from_edges,
     induced_subgraph,
     join,
     null_graph,
     path,
+    sunlet,
     t_diamond,
 )
 from hfree.problems import (
@@ -362,6 +364,25 @@ def test_apply_step_checks_source():
     redo = apply_step(step, inst)
     assert are_isomorphic(redo.h, t_diamond(3))
     assert redo.k == 1
+
+    # patterns that agree in vertex count, edge count and degrees reach the
+    # embedding search: the step's source is C6, a relabelled C6 passes and
+    # 2K3 does not
+    h, params = sunlet(6), {"v_prime": list(range(6))}
+    step = chain_step(STEP_CONSTRUCT_NONADJ, params, h, DEL)
+    assert step.source_h == cycle(6)
+    relabelled = graph_from_edges(6, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 5), (5, 0)])
+    assert relabelled != cycle(6)
+    two_triangles = disjoint_union(complete(3), complete(3))
+    good = Instance(g=path(3), k=1, h=relabelled, kind=DEL)
+    want = Instance(g=path(3), k=1, h=h, kind=DEL)
+    assert apply_step(step, good) == want
+    assert reduce_instance(good, STEP_CONSTRUCT_NONADJ, params, h)[0] == want
+    bad = Instance(g=path(3), k=1, h=two_triangles, kind=DEL)
+    with pytest.raises(ValueError, match="not isomorphic"):
+        apply_step(step, bad)
+    with pytest.raises(ValueError, match="not isomorphic"):
+        reduce_instance(bad, STEP_CONSTRUCT_NONADJ, params, h)
 
 
 def test_apply_step_construct_steps_match_direct_constructions():
