@@ -41,7 +41,7 @@ from .problems import (
     recognize_sparse_lh,
     sparse_case,
 )
-from .reductions import ReductionStep, chain_step
+from .reductions import ReductionStep, chain_step, degree_kept
 
 REASON_AT_MOST_TWO_VERTICES = "at-most-two-vertices"
 REASON_AT_MOST_ONE_EDGE = "at-most-one-edge"
@@ -147,7 +147,8 @@ def deletion_churn(h: Graph) -> tuple[Graph, list[ChurnStep]]:
     strip the minimum-degree class when the above-minimum class induces
     two or more edges (checked first), else strip the maximum-degree
     class.  Each strip's firing condition is exactly what guarantees the
-    remainder keeps at least two edges.
+    remainder keeps at least two edges.  The conditions are tested on the
+    strips' vertex sets, so only the strip taken is built as a chain step.
     """
     if h.m < 2:
         raise ValueError("deletion churn needs a pattern with at least 2 edges")
@@ -155,15 +156,20 @@ def deletion_churn(h: Graph) -> tuple[Graph, list[ChurnStep]]:
     steps: list[ChurnStep] = []
     cur = h
     while True:
-        params = {"d": min(cur.degrees), "variant": "min"}
-        step = chain_step(STEP_DEGREE, params, cur, deletion)
-        if step.source_h.m <= 1:
-            params = {"d": max(cur.degrees), "variant": "max"}
-            step = chain_step(STEP_DEGREE, params, cur, deletion)
-            if step.source_h.m <= 1:
-                return cur, steps
+        for d, variant in ((min(cur.degrees), "min"), (max(cur.degrees), "max")):
+            if _edges_within(cur, degree_kept(cur, d, variant)) >= 2:
+                break
+        else:
+            return cur, steps
+        step = chain_step(STEP_DEGREE, {"d": d, "variant": variant}, cur, deletion)
         steps.append(ChurnStep(step))
         cur = step.source_h
+
+
+def _edges_within(g: Graph, vs: list[int]) -> int:
+    """The edge count of g[vs]."""
+    inside = sum(1 << v for v in vs)
+    return sum((g.masks[v] & inside).bit_count() for v in vs) // 2
 
 
 # ---------------------------------------------------------------------------

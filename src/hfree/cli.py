@@ -168,7 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-cap", type=int, help="max budget for campaigns")
     p.add_argument("--n-cap", type=int, help="max vertices for pattern sweeps")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="parallel worker processes, at most the CPU count (default: 1)",
+    )
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_verify)
     return parser
@@ -177,11 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for cap in ("host_cap", "k_cap", "n_cap", "workers"):
-        value = getattr(args, cap, None)
-        if value is not None and value < 1:
-            print(f"error: --{cap.replace('_', '-')} must be positive", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except Exception as exc:  # exit code 1 means "no", so every error is 2

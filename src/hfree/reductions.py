@@ -1,15 +1,17 @@
 """Parameter-preserving reductions between h-free modification problems.
 
 Each operation takes a concrete instance of a smaller pattern's problem and
-produces an instance of a bigger pattern's problem with the same budget k,
-plus a ReductionStep describing what happened (including per-copy branch or
-clique records, so the output can be audited structurally).  STEPS maps
-every step name to the source problem it reduces from and the build
-that runs it.  Every step runs from its record: `chain_step` derives it from
-the table (classify builds its chains this way), and one executor checks
-the instance against the step's source problem once and builds the
+produces an instance of a bigger pattern's problem with the same budget k.
+STEPS maps every step name to the source problem it reduces from and the
+build that runs it.  Every step runs from its record: `chain_step` derives
+it from the table (classify builds its chains this way), and one executor
+checks the instance against the step's source problem once and builds the
 target; chain replay (`apply_step`) and `hfree reduce` (`reduce_instance`)
-both go through it.
+both go through it.  Only `reduce_instance` returns a ReductionStep
+describing what happened (including per-copy branch or clique records, so
+the output can be audited structurally); a build keeps its raw records, and
+they are serialized into that description only there, never on the replay
+or campaign path.
 
 The two workhorse constructions attach, for every placement of a fixed
 sub-pattern inside the host's vertex set, k+1 fresh "branches" completing
@@ -72,7 +74,7 @@ class ReductionStep:
     kind `source_kind`) into an equivalent instance of the target problem,
     keeping the budget k unchanged.  `params` holds whatever the transform
     needs to be replayed mechanically (see STEPS); `execution` is filled in
-    when the step is actually applied to an instance.
+    when `reduce_instance` applies the step to an instance.
     """
 
     step: str
@@ -221,6 +223,8 @@ def construct_nonadj(
 def _attach_branches(
     g_prime: Graph, k: int, h: Graph, vp: list[int]
 ) -> tuple[Graph, list[BranchRecord]]:
+    if g_prime.n < len(vp):
+        return g_prime, []  # no placement fits
     sub, old_to_new = induced_subgraph(h, vp)
     outside = [v for v in h.vertices if v not in old_to_new]
     records: list[BranchRecord] = []
@@ -298,6 +302,10 @@ def construct_tdiamond(g_prime: Graph, k: int) -> tuple[Graph, list[CliqueRecord
 # ---------------------------------------------------------------------------
 # the step table and its executor
 
+# A build's execution metadata, serialized on demand from its raw records.
+Metadata = Callable[[], dict[str, Any]]
+
+
 def _capped_complement(g: Graph) -> Graph:
     """complement(g), refused unbuilt when it is over the construction
     caps."""
@@ -319,22 +327,29 @@ class _Branches:
     inner: tuple[str, dict[str, Any]] | None = None
 
 
+def degree_kept(h: Graph, d: int, variant: str) -> list[int]:
+    """The vertices of h that a degree-reduce step with threshold d keeps,
+    its V': those of degree above d, or below d for the max variant."""
+    if variant == "max":
+        return [v for v, deg in enumerate(h.degrees) if deg < d]
+    return [v for v, deg in enumerate(h.degrees) if deg > d]
+
+
 def _degree_branches(h: Graph, kind: ModificationKind, params: dict[str, Any]) -> _Branches:
     d = params["d"]
-    if params.get("variant", "min") == "max":
-        v_prime = [v for v in h.vertices if h.degree(v) < d]
+    variant = "max" if params.get("variant", "min") == "max" else "min"
+    v_prime = degree_kept(h, d, variant)
+    if variant == "max":
         side = "above the maximum"
         # the min side of the complement pattern, whose degrees are n-1-deg
         inner = (STEP_DEGREE, {"d": h.n - 1 - d, "variant": "min"})
     else:
-        v_prime = [v for v in h.vertices if h.degree(v) > d]
         side, inner = "below the minimum", None
     if len(v_prime) == h.n:
         raise ValueError(
             f"degree threshold {d} is {side} degree of {h!r}; "
             "the reduction would be a no-op"
         )
-    variant = "min" if inner is None else "max"
     return _Branches(v_prime, {"d": d, "variant": variant}, inner=inner)
 
 
@@ -411,8 +426,9 @@ class StepSpec:
     pattern, the source kind and the params the step records, and raises
     ValueError where the step does not apply.  `build(step, inst)` builds,
     from an instance of the step's source problem, the host of the target
-    instance, and returns it with the execution metadata; it trusts the
-    instance to match the step.
+    instance, and returns it with a function that serializes the execution
+    metadata from the build's raw records; only `reduce_instance` calls
+    that function.  The build trusts the instance to match the step.
     `params` names the step params they read.  `target(h, kind, params)`,
     set only on the steps that derive their target problem from the
     instance's (h, kind), returns that target; the other steps are told
@@ -422,7 +438,7 @@ class StepSpec:
         [Graph, ModificationKind, dict[str, Any]],
         tuple[Graph, ModificationKind, dict[str, Any]],
     ]
-    build: Callable[[ReductionStep, Instance], tuple[Graph, dict[str, Any]]]
+    build: Callable[[ReductionStep, Instance], tuple[Graph, Metadata]]
     params: tuple[str, ...] = ()
     target: Callable[
         [Graph, ModificationKind, dict[str, Any]], tuple[Graph, ModificationKind]
@@ -432,10 +448,11 @@ class StepSpec:
 
 def _through_complement(
     step: ReductionStep, inst: Instance, name: str, params: dict[str, Any]
-) -> tuple[Graph, dict[str, Any]]:
+) -> tuple[Graph, Metadata]:
     """Build `step` as three chain steps run in a row: complement the
     instance, run (name, params) on the complement pattern, complement
-    back.  The metadata records the three executed hops."""
+    back.  The metadata records the three executed hops; each hop's record,
+    its own metadata included, is serialized only when the metadata is."""
     flipped = step.target_kind.flipped()
     inner = chain_step(name, params, complement(step.target_h), flipped)
     hops = [
@@ -443,12 +460,12 @@ def _through_complement(
         inner,
         chain_step(STEP_COMPLEMENT, {}, step.target_h, step.target_kind),
     ]
-    composite = []
+    runs = []
     for hop in hops:
         out, metadata = _run_step(hop, inst)
-        composite.append(_executed(hop, inst, out, metadata).to_obj())
+        runs.append((hop, inst, out, metadata))
         inst = out
-    return inst.g, {"composite": composite}
+    return inst.g, lambda: {"composite": [_executed(*run).to_obj() for run in runs]}
 
 
 def _branch_step(
@@ -468,7 +485,7 @@ def _branch_step(
             return _through_complement(step, inst, *b.inner)
         construct = construct_adj if b.joined else construct_nonadj
         g, records = construct(inst.g, inst.k, step.target_h, b.v_prime)
-        return g, {"branch_records": [r.to_obj() for r in records]}
+        return g, lambda: {"branch_records": [r.to_obj() for r in records]}
 
     return StepSpec(source, build, **fields)
 
@@ -481,9 +498,9 @@ def _tdiamond_source(h, kind: ModificationKind, params: dict[str, Any]):
     return t_diamond(t - 1), kind, {"t": t}
 
 
-def _tdiamond_build(step: ReductionStep, inst: Instance) -> tuple[Graph, dict[str, Any]]:
+def _tdiamond_build(step: ReductionStep, inst: Instance) -> tuple[Graph, Metadata]:
     g, records = construct_tdiamond(inst.g, inst.k)
-    return g, {"clique_records": [r.to_obj() for r in records]}
+    return g, lambda: {"clique_records": [r.to_obj() for r in records]}
 
 
 # Every step kind.  The builds name the constructions inside their bodies,
@@ -491,7 +508,7 @@ def _tdiamond_build(step: ReductionStep, inst: Instance) -> tuple[Graph, dict[st
 STEPS: dict[str, StepSpec] = {
     STEP_COMPLEMENT: StepSpec(
         lambda h, kind, p: (_capped_complement(h), kind.flipped(), {}),
-        lambda step, inst: (_capped_complement(inst.g), {}),
+        lambda step, inst: (_capped_complement(inst.g), dict),
         target=lambda h, kind, p: (_capped_complement(h), kind.flipped()),
     ),
     STEP_DEGREE: _branch_step(_degree_branches, params=("d",)),
@@ -533,16 +550,16 @@ def chain_step(
     return ReductionStep(name, recorded, source_h, source_kind, h, kind)
 
 
-def _run_step(step: ReductionStep, inst: Instance) -> tuple[Instance, dict[str, Any]]:
+def _run_step(step: ReductionStep, inst: Instance) -> tuple[Instance, Metadata]:
     """Build `step` on `inst`, which must be an instance of its source
-    problem; returns the output with the execution metadata.  The output
-    keeps the budget and is an instance of the step's target problem by
-    construction."""
+    problem; returns the output with the serializer of the execution
+    metadata.  The output keeps the budget and is an instance of the step's
+    target problem by construction."""
     g, metadata = STEPS[step.step].build(step, inst)
     return Instance(g, inst.k, step.target_h, step.target_kind), metadata
 
 
-def _execute_step(step: ReductionStep, inst: Instance) -> tuple[Instance, dict[str, Any]]:
+def _execute_step(step: ReductionStep, inst: Instance) -> tuple[Instance, Metadata]:
     """Check that `inst` is an instance of the step's source problem, then
     run the step on it."""
     if inst.kind is not step.source_kind:
@@ -559,10 +576,11 @@ def _execute_step(step: ReductionStep, inst: Instance) -> tuple[Instance, dict[s
 
 
 def _executed(
-    step: ReductionStep, inst: Instance, out: Instance, metadata: dict[str, Any]
+    step: ReductionStep, inst: Instance, out: Instance, metadata: Metadata
 ) -> ReductionStep:
-    """`step` with the record of its run from `inst` to `out`."""
-    return replace(step, execution=StepExecution(inst.summary(), out.summary(), metadata))
+    """`step` with the record of its run from `inst` to `out`, the one place
+    where execution metadata is serialized."""
+    return replace(step, execution=StepExecution(inst.summary(), out.summary(), metadata()))
 
 
 def reduce_instance(

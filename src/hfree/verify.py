@@ -13,8 +13,8 @@ enumeration order so worker count never changes the output.
 """
 from __future__ import annotations
 
+import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable
 
 from .classify import (
@@ -121,7 +121,10 @@ def verify_equivalence(
         for k in range(1, k_cap + 1)
     ]
     if workers > 1 and len(cases) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the pool starts all its processes at once; no more than there are cases
+        with ProcessPoolExecutor(max_workers=min(workers, len(cases))) as pool:
             results = list(pool.map(_evaluate_case, cases, chunksize=4))
     else:
         results = [_evaluate_case(c) for c in cases]
@@ -421,9 +424,17 @@ def run_suite(
     workers: int = 1,
 ) -> dict[str, Any]:
     """Run one named suite with its acceptance-scale default caps, unless
-    overridden."""
+    overridden.  A cap given must be at least 1, and `workers` must lie
+    between 1 and the machine's CPU count (`os.cpu_count()`)."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    caps = {"host-cap": host_cap, "k-cap": k_cap, "n-cap": n_cap, "workers": workers}
+    for cap, value in caps.items():
+        if value is not None and value < 1:
+            raise ValueError(f"{cap} must be at least 1, got {value}")
+    most = os.cpu_count() or 1
+    if workers > most:
+        raise ValueError(f"workers must be at most the CPU count {most}, got {workers}")
     (default_host, default_k, default_n), runner = _SUITES[name]
     host_cap = default_host if host_cap is None else host_cap
     k_cap = default_k if k_cap is None else k_cap

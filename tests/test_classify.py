@@ -1,6 +1,7 @@
 """Dichotomy verdicts, churn procedures, and reduction-chain assembly."""
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -44,6 +45,7 @@ from hfree.problems import (
     STEP_COMPLEMENT,
     STEP_TDIAMOND,
 )
+from hfree.reductions import chain_step
 from hfree.smallgraphs import graphs_up_to
 
 
@@ -219,6 +221,24 @@ def test_deletion_churn_terminal_trichotomy():
 def test_deletion_churn_rejects_sparse_input():
     with pytest.raises(ValueError):
         deletion_churn(graph_from_edges(3, [(0, 1)]))
+
+
+def test_churn_builds_only_the_steps_it_keeps(monkeypatch):
+    # `hfree.classify` names the function, so patch the module itself
+    module = sys.modules["hfree.classify"]
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return chain_step(*args)
+
+    monkeypatch.setattr(module, "chain_step", counting)
+    for h in graphs_up_to(6):
+        for churn, applies in ((editing_churn, h.n >= 3), (deletion_churn, h.m >= 2)):
+            if applies:
+                built.clear()
+                _, steps = churn(h)
+                assert len(built) == len(steps), (churn.__name__, h)
 
 
 # ---------------------------------------------------------------- sparse shapes

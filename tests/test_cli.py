@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, format detection."""
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -298,6 +299,13 @@ def test_verify_rejects_nonpositive_caps(capsys):
     code, _, err = run(capsys, ["verify", "complement", "--host-cap", "0"])
     assert code == 2
     assert "host-cap" in err
+
+
+def test_verify_refuses_more_workers_than_cpus(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, ["verify", "classify", "--n-cap", "3", "--workers", "3"])
+    assert code == 2 and out == ""
+    assert "workers" in err
 
 
 def test_console_script_help():

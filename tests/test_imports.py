@@ -1,7 +1,10 @@
 """Static checks on the package source: every module-level import is used,
 every module-level private name is read somewhere in the package, and the
-package exports exactly what its `__init__` binds."""
+package exports exactly what its `__init__` binds; importing the package
+loads no process-pool machinery."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -117,3 +120,11 @@ def test_package_exports_match_the_init_bindings():
     assert set(hfree.__all__) == bound
     for name in hfree.__all__:
         assert hasattr(hfree, name), name
+
+
+def test_importing_the_package_starts_no_pool_machinery():
+    # verify imports its process pool only where a campaign starts one
+    code = "import sys, hfree; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,4 +1,6 @@
 """Instance constructions, single reduction steps, replay, and audits."""
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,7 @@ from hfree.problems import (
 )
 from hfree.classify import build_chain, classify
 from hfree.reductions import (
+    STEPS,
     ConstructionCapExceeded,
     ReductionStep,
     apply_step,
@@ -65,6 +68,10 @@ def diamond_high_pair():
 
 def k23():
     return join(null_graph(2), null_graph(3))
+
+
+def bowtie():
+    return graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
 
 # ---------------------------------------------------------------- constructions
@@ -216,11 +223,10 @@ def test_reduce_degree_rejects_degenerate_threshold():
 
 def test_reduce_degree_max_composite():
     # bowtie: drop the degree-4 center, keep the four degree-2 vertices
-    bowtie = graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-    sub, _ = induced_subgraph(bowtie, [1, 2, 3, 4])
+    sub, _ = induced_subgraph(bowtie(), [1, 2, 3, 4])
     inst = Instance(g=complete(3), k=1, h=sub, kind=DEL)
-    out, step = reduce_instance(inst, STEP_DEGREE, {"d": 4, "variant": "max"}, bowtie)
-    assert are_isomorphic(out.h, bowtie)
+    out, step = reduce_instance(inst, STEP_DEGREE, {"d": 4, "variant": "max"}, bowtie())
+    assert are_isomorphic(out.h, bowtie())
     assert out.k == 1 and out.kind is DEL
     assert step.params["variant"] == "max"
     assert len(step.execution.metadata["composite"]) == 3
@@ -407,6 +413,46 @@ def test_apply_step_construct_steps_match_direct_constructions():
         assert outs[-1] == Instance(g=g, k=1, h=h, kind=DEL)
     # the host admits several placements, so joining branches adds edges
     assert outs[0].g.edges < outs[1].g.edges
+
+
+def _records(metadata):
+    """Every branch or clique record in an execution's metadata, those of
+    composite hops included."""
+    own = [r for key in ("branch_records", "clique_records") for r in metadata.get(key, [])]
+    hops = metadata.get("composite", [])
+    return own + [r for hop in hops for r in _records(hop["execution"]["metadata"])]
+
+
+def test_apply_step_and_reduce_instance_build_the_same_target():
+    # (step, params, target pattern, a host that gets placements); the
+    # sparse-vh source has 7 vertices, so its host only passes through
+    cases = [
+        (STEP_COMPLEMENT, {}, path(4), cycle(5)),
+        (STEP_DEGREE, {"d": 2}, diamond(), path(3)),
+        (STEP_DEGREE, {"d": 4, "variant": "max"}, bowtie(), path(4)),
+        (STEP_TDIAMOND, {"t": 3}, t_diamond(3), path(3)),
+        (STEP_SPARSE_VL, {}, find_sparse_witness(0, 1), cycle(4)),
+        (STEP_SPARSE_VH, {}, find_sparse_witness(1, 0, exclude_t_diamond=True), path(3)),
+        (STEP_SPARSE_CASE1, {}, k23(), path(3)),
+        (STEP_CONSTRUCT_NONADJ, {"v_prime": diamond_high_pair()}, diamond(), path(3)),
+        (STEP_CONSTRUCT_ADJ, {"v_prime": diamond_high_pair()}, diamond(), path(3)),
+    ]
+    assert {name for name, *_ in cases} == set(STEPS)
+    for name, params, h, host in cases:
+        step = chain_step(name, params, h, DEL)
+        target = None if STEPS[name].target else h
+        grows = name not in (STEP_COMPLEMENT, STEP_SPARSE_VH)
+        # a 1-vertex host is smaller than every V', so it comes back unchanged
+        for g, placed in ((host, grows), (null_graph(1), False)):
+            inst = Instance(g=g, k=1, h=step.source_h, kind=step.source_kind)
+            out = apply_step(step, inst)
+            same, executed = reduce_instance(inst, name, params, target)
+            assert same == out and out.h == h and out.k == 1, name
+            assert executed.execution.output_summary == out.summary()
+            metadata = json.loads(json.dumps(executed.execution.metadata))
+            assert bool(_records(metadata)) == placed, name
+            if g.n == 1:
+                assert out.g == g, name
 
 
 def test_reduction_step_rejects_unknown_names_and_missing_params():

@@ -1,5 +1,7 @@
 """Equivalence campaigns and the property suites."""
+import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -67,6 +69,45 @@ def test_audit_suite_seeded_and_deterministic():
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError):
         run_suite("everything")
+
+
+def test_run_suite_refuses_caps_below_1():
+    for name, caps in (
+        ("degree", {"host_cap": 0}),
+        ("complement", {"k_cap": -1}),
+        ("classify", {"n_cap": 0}),
+        ("churn", {"workers": 0}),
+    ):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            run_suite(name, **caps)
+
+
+def test_worker_pool_is_capped_and_sized_by_the_cases(monkeypatch):
+    # a stand-in pool records its size and starts no process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    # one 1-vertex host at budgets 1 and 2: two cases
+    report = run_suite("tdiamond", host_cap=1, k_cap=2, workers=64)
+    assert sizes == [2]
+    assert report == run_suite("tdiamond", host_cap=1, k_cap=2)
+    with pytest.raises(ValueError, match="at most the CPU count 64, got 65"):
+        run_suite("tdiamond", host_cap=1, k_cap=2, workers=65)
+    assert sizes == [2]
 
 
 def test_run_suites_consolidated_report():
