@@ -17,11 +17,18 @@ The two workhorse constructions attach, for every placement of a fixed
 sub-pattern inside the host's vertex set, k+1 fresh "branches" completing
 that placement to a full copy of h.  `construct_nonadj` leaves distinct
 branches non-adjacent; `construct_adj` additionally joins every pair of
-branch vertices from distinct branches, across all placements.
+branch vertices from distinct branches, across all placements.  Placements
+are taken on the vertex set, so everything a construction adds depends on
+the host's vertex count, k, h and V' alone: a BranchScaffold holds it, and
+a host's output is the union of the host's edges with its scaffold's.  A
+step keeps the scaffolds its runs build (`ReductionStep.scaffolds`), so a
+campaign builds one per host size and budget, and they go when the step
+does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import comb, perm
 from typing import Any, Callable
 
@@ -74,7 +81,10 @@ class ReductionStep:
     kind `source_kind`) into an equivalent instance of the target problem,
     keeping the budget k unchanged.  `params` holds whatever the transform
     needs to be replayed mechanically (see STEPS); `execution` is filled in
-    when `reduce_instance` applies the step to an instance.
+    when `reduce_instance` applies the step to an instance.  `scaffolds`
+    keeps the branch scaffolds that the step's runs have built, those of
+    its complement hops included, for its later runs on hosts of the same
+    size and budget; it is not part of the step's value.
     """
 
     step: str
@@ -84,6 +94,9 @@ class ReductionStep:
     target_h: Graph
     target_kind: ModificationKind
     execution: StepExecution | None = None
+    scaffolds: dict[tuple, BranchScaffold] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         _spec(self.step, self.params)
@@ -165,33 +178,94 @@ def _check_size(what: str, n: int, m: int) -> None:
         )
 
 
+class BranchScaffold:
+    """What construct_nonadj (or, joined, construct_adj) adds to any host
+    on `host_n` vertices at budget k: the branch vertices host_n..n-1, the
+    `m` edges touching them (the joins included) and one BranchRecord per
+    branch.  Every placement of h[v_prime] on the host's vertices gets k+1
+    branches of the pattern's other vertices, each carrying the pattern
+    edges that touch them, and there are n!/(n-p)!/|Aut(h[v_prime])|
+    placements of p vertices on n (|Aut| is counted only when n!/(n-p)! is
+    not zero).  Joining adds an edge between every two branch vertices of
+    distinct branches.  No host edge is read, so one scaffold serves every
+    host of its size.  The size is counted at once; `parts` builds the
+    edges and records on first use."""
+
+    def __init__(self, host_n: int, k: int, h: Graph, v_prime: list[int], joined: bool):
+        self.host_n, self.k, self.h, self.v_prime, self.joined = host_n, k, h, v_prime, joined
+        self.sub, self.old_to_new = induced_subgraph(h, v_prime)
+        placements = perm(host_n, len(v_prime))
+        if placements:
+            placements //= automorphism_count(self.sub)
+        branches = placements * (k + 1)
+        outside = h.n - len(v_prime)
+        touching = sum(1 for a, b in h.edges if a not in v_prime or b not in v_prime)
+        self.n = host_n + branches * outside
+        self.m = branches * touching
+        if joined:
+            self.m += comb(branches * outside, 2) - branches * comb(outside, 2)
+
+    @cached_property
+    def parts(self) -> tuple[frozenset[Edge], tuple[BranchRecord, ...]]:
+        """The scaffold's edges and its branch records, in placement order."""
+        h, old_to_new = self.h, self.old_to_new
+        outside = [v for v in h.vertices if v not in old_to_new]
+        records: list[BranchRecord] = []
+        edges: set[Edge] = set()
+        next_vertex = self.host_n
+        for copy in enumerate_pattern_copies(self.host_n, self.sub):
+            # placement of the original pattern vertices, not the relabeled ones
+            f = {v: copy.embedding[old_to_new[v]] for v in self.v_prime}
+            for _ in range(self.k + 1):
+                branch = {v: next_vertex + i for i, v in enumerate(outside)}
+                next_vertex += len(outside)
+                branch_edges = []
+                for a, b in h.edges:
+                    if a in branch or b in branch:
+                        ea = branch.get(a, f.get(a))
+                        eb = branch.get(b, f.get(b))
+                        branch_edges.append(edge(ea, eb))
+                branch_edges.sort()
+                edges.update(branch_edges)
+                records.append(
+                    BranchRecord(
+                        base_vertices=copy.vertices,
+                        base_edges=copy.edges,
+                        branch_vertices=tuple(branch[v] for v in outside),
+                        branch_edges=tuple(branch_edges),
+                        base_embedding=tuple(sorted(f.items())),
+                    )
+                )
+        if self.joined and outside:
+            # branches are runs of len(outside) vertices after the host's;
+            # u joins every vertex from the start of the next branch on
+            size = len(outside)
+            for u in range(self.host_n, next_vertex):
+                later = u - (u - self.host_n) % size + size
+                edges.update((u, v) for v in range(later, next_vertex))
+        return frozenset(edges), tuple(records)
+
+
 def construction_size(
     g_prime: Graph, k: int, h: Graph, v_prime, joined: bool = False
 ) -> tuple[int, int]:
     """Vertex and edge count of construct_nonadj (or, joined,
-    construct_adj) output, without building it.  Every placement of
-    h[v_prime] on the host's vertices gets k+1 branches of the pattern's
-    other vertices, each carrying the pattern edges that touch them, and
-    there are n!/(n-p)!/|Aut(h[v_prime])| placements of p vertices on n
-    (|Aut| is counted only when n!/(n-p)! is not zero).  Joining adds an
-    edge between every two branch vertices of distinct branches."""
-    vp = sorted(set(v_prime))
-    branches = perm(g_prime.n, len(vp))
-    if branches:
-        sub, _ = induced_subgraph(h, vp)
-        branches = branches // automorphism_count(sub) * (k + 1)
-    outside = h.n - len(vp)
-    touching = sum(1 for a, b in h.edges if a not in vp or b not in vp)
-    n = g_prime.n + branches * outside
-    m = g_prime.m + branches * touching
-    if joined:
-        m += comb(branches * outside, 2) - branches * comb(outside, 2)
-    return n, m
+    construct_adj) output, without building it: the host's plus its
+    scaffold's."""
+    scaffold = BranchScaffold(g_prime.n, k, h, sorted(set(v_prime)), joined)
+    return scaffold.n, g_prime.m + scaffold.m
 
 
-def _check_construct_args(
-    g_prime: Graph, k: int, h: Graph, v_prime, joined: bool
-) -> list[int]:
+def _attach_branches(
+    g_prime: Graph,
+    k: int,
+    h: Graph,
+    v_prime,
+    joined: bool,
+    scaffolds: dict[tuple, BranchScaffold] | None,
+) -> tuple[Graph, list[BranchRecord]]:
+    """The host's edges united with its scaffold's, which is taken from
+    `scaffolds` or built and kept there."""
     vp = sorted(set(v_prime))
     if not vp:
         raise ValueError("v_prime must name at least one pattern vertex")
@@ -199,12 +273,25 @@ def _check_construct_args(
         raise ValueError(f"v_prime {vp} is not a subset of the pattern's vertices")
     if k < 1:
         raise ValueError(f"budget must be at least 1, got {k}")
-    _check_size("the construction", *construction_size(g_prime, k, h, vp, joined))
-    return vp
+    if g_prime.n < len(vp):
+        return g_prime, []  # no placement fits
+    key = (g_prime.n, k, h, tuple(vp), joined)
+    if scaffolds is None:
+        scaffolds = {}
+    scaffold = scaffolds.get(key)
+    if scaffold is None:
+        scaffold = scaffolds[key] = BranchScaffold(g_prime.n, k, h, vp, joined)
+    _check_size("the construction", scaffold.n, g_prime.m + scaffold.m)
+    edges, records = scaffold.parts
+    return Graph(scaffold.n, g_prime.edges | edges), list(records)
 
 
 def construct_nonadj(
-    g_prime: Graph, k: int, h: Graph, v_prime
+    g_prime: Graph,
+    k: int,
+    h: Graph,
+    v_prime,
+    scaffolds: dict[tuple, BranchScaffold] | None = None,
 ) -> tuple[Graph, list[BranchRecord]]:
     """Attach k+1 non-adjacent completing branches for every placement of
     h[v_prime] inside the host's vertex set (adjacency of the host itself is
@@ -213,64 +300,24 @@ def construct_nonadj(
     A host smaller than v_prime admits no placements and passes through
     unchanged.  An output over CONSTRUCT_VERTEX_CAP vertices or
     CONSTRUCT_EDGE_CAP edges is refused with ConstructionCapExceeded before
-    anything is built.
+    anything is built.  The branches come from a BranchScaffold, kept in
+    `scaffolds` when it is given so that later calls with the same host
+    size, k, h and v_prime reuse it.
     """
-    return _attach_branches(
-        g_prime, k, h, _check_construct_args(g_prime, k, h, v_prime, False)
-    )
-
-
-def _attach_branches(
-    g_prime: Graph, k: int, h: Graph, vp: list[int]
-) -> tuple[Graph, list[BranchRecord]]:
-    if g_prime.n < len(vp):
-        return g_prime, []  # no placement fits
-    sub, old_to_new = induced_subgraph(h, vp)
-    outside = [v for v in h.vertices if v not in old_to_new]
-    records: list[BranchRecord] = []
-    new_edges: set[Edge] = set(g_prime.edges)
-    next_vertex = g_prime.n
-    for copy in enumerate_pattern_copies(g_prime.n, sub):
-        # placement of the original pattern vertices, not the relabeled ones
-        f = {v: copy.embedding[old_to_new[v]] for v in vp}
-        for _ in range(k + 1):
-            branch = {v: next_vertex + i for i, v in enumerate(outside)}
-            next_vertex += len(outside)
-            branch_edges = []
-            for a, b in h.edges:
-                if a in branch or b in branch:
-                    ea = branch.get(a, f.get(a))
-                    eb = branch.get(b, f.get(b))
-                    branch_edges.append(edge(ea, eb))
-            branch_edges.sort()
-            new_edges.update(branch_edges)
-            records.append(
-                BranchRecord(
-                    base_vertices=copy.vertices,
-                    base_edges=copy.edges,
-                    branch_vertices=tuple(branch[v] for v in outside),
-                    branch_edges=tuple(branch_edges),
-                    base_embedding=tuple(sorted(f.items())),
-                )
-            )
-    return Graph(next_vertex, frozenset(new_edges)), records
+    return _attach_branches(g_prime, k, h, v_prime, False, scaffolds)
 
 
 def construct_adj(
-    g_prime: Graph, k: int, h: Graph, v_prime
+    g_prime: Graph,
+    k: int,
+    h: Graph,
+    v_prime,
+    scaffolds: dict[tuple, BranchScaffold] | None = None,
 ) -> tuple[Graph, list[BranchRecord]]:
     """As construct_nonadj, then join every pair of branch vertices lying in
     distinct branches, across all placements.  The caps count the joined
     edges too."""
-    vp = _check_construct_args(g_prime, k, h, v_prime, True)
-    g, records = _attach_branches(g_prime, k, h, vp)
-    extra: set[Edge] = set()
-    for i, ri in enumerate(records):
-        for rj in records[i + 1 :]:
-            for u in ri.branch_vertices:
-                for v in rj.branch_vertices:
-                    extra.add(edge(u, v))
-    return Graph(g.n, g.edges | extra), records
+    return _attach_branches(g_prime, k, h, v_prime, True, scaffolds)
 
 
 def construct_tdiamond(g_prime: Graph, k: int) -> tuple[Graph, list[CliqueRecord]]:
@@ -451,14 +498,18 @@ def _through_complement(
 ) -> tuple[Graph, Metadata]:
     """Build `step` as three chain steps run in a row: complement the
     instance, run (name, params) on the complement pattern, complement
-    back.  The metadata records the three executed hops; each hop's record,
-    its own metadata included, is serialized only when the metadata is."""
+    back; the hops keep their scaffolds in `step`'s.  The metadata records
+    the three executed hops; each hop's record, its own metadata included,
+    is serialized only when the metadata is."""
     flipped = step.target_kind.flipped()
     inner = chain_step(name, params, complement(step.target_h), flipped)
     hops = [
-        chain_step(STEP_COMPLEMENT, {}, inner.source_h, flipped),
-        inner,
-        chain_step(STEP_COMPLEMENT, {}, step.target_h, step.target_kind),
+        replace(hop, scaffolds=step.scaffolds)
+        for hop in (
+            chain_step(STEP_COMPLEMENT, {}, inner.source_h, flipped),
+            inner,
+            chain_step(STEP_COMPLEMENT, {}, step.target_h, step.target_kind),
+        )
     ]
     runs = []
     for hop in hops:
@@ -484,7 +535,7 @@ def _branch_step(
         if b.inner is not None:
             return _through_complement(step, inst, *b.inner)
         construct = construct_adj if b.joined else construct_nonadj
-        g, records = construct(inst.g, inst.k, step.target_h, b.v_prime)
+        g, records = construct(inst.g, inst.k, step.target_h, b.v_prime, step.scaffolds)
         return g, lambda: {"branch_records": [r.to_obj() for r in records]}
 
     return StepSpec(source, build, **fields)

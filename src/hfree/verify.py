@@ -424,22 +424,24 @@ def run_suite(
     workers: int = 1,
 ) -> dict[str, Any]:
     """Run one named suite with its acceptance-scale default caps, unless
-    overridden.  A cap given must be at least 1, and `workers` must lie
-    between 1 and the machine's CPU count (`os.cpu_count()`)."""
+    overridden.  A cap given must be one the suite reads (its default is
+    not 0) and at least 1, and `workers` must lie between 1 and the
+    machine's CPU count (`os.cpu_count()`)."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
-    caps = {"host-cap": host_cap, "k-cap": k_cap, "n-cap": n_cap, "workers": workers}
-    for cap, value in caps.items():
+    defaults, runner = _SUITES[name]
+    caps = {"host-cap": host_cap, "k-cap": k_cap, "n-cap": n_cap}
+    for (cap, value), default in zip(caps.items(), defaults):
+        if value is not None and not default:
+            raise ValueError(f"the {name} suite reads no {cap}, got {value}")
+    for cap, value in dict(caps, workers=workers).items():
         if value is not None and value < 1:
             raise ValueError(f"{cap} must be at least 1, got {value}")
     most = os.cpu_count() or 1
     if workers > most:
         raise ValueError(f"workers must be at most the CPU count {most}, got {workers}")
-    (default_host, default_k, default_n), runner = _SUITES[name]
-    host_cap = default_host if host_cap is None else host_cap
-    k_cap = default_k if k_cap is None else k_cap
-    n_cap = default_n if n_cap is None else n_cap
-    return runner(name, host_cap, k_cap, n_cap, seed, workers)
+    in_force = [d if c is None else c for c, d in zip(caps.values(), defaults)]
+    return runner(name, *in_force, seed, workers)
 
 
 def run_suites(
@@ -450,16 +452,20 @@ def run_suites(
     seed: int = 0,
     workers: int = 1,
 ) -> dict[str, Any]:
-    """Run the named suites (or all of them) into one consolidated report."""
+    """Run the named suites (or all of them) into one consolidated report.
+    With "all", each suite is given only the caps it reads; a suite named
+    on its own is given every cap, and `run_suite` refuses one it does not
+    read."""
     from . import __version__
 
-    chosen = list(SUITE_NAMES) if "all" in names else list(names)
+    every = "all" in names
+    chosen = list(SUITE_NAMES) if every else list(names)
+    given = (host_cap, k_cap, n_cap)
     suites = {
         name: run_suite(
             name,
-            host_cap=host_cap,
-            k_cap=k_cap,
-            n_cap=n_cap,
+            *(cap if default or not every else None
+              for cap, default in zip(given, _SUITES[name][0])),
             seed=seed,
             workers=workers,
         )

@@ -308,6 +308,42 @@ def test_verify_refuses_more_workers_than_cpus(capsys, monkeypatch):
     assert "workers" in err
 
 
+def test_verify_refuses_caps_the_suite_does_not_read(capsys):
+    code, out, err = run(capsys, ["verify", "classify", "--host-cap", "3"])
+    assert code == 2 and out == ""
+    assert err == "error: the classify suite reads no host-cap, got 3\n"
+    code, out, err = run(capsys, ["verify", "degree", "--n-cap", "3"])
+    assert code == 2 and "reads no n-cap" in err
+    # all gives each suite only the caps it reads
+    code, out, _ = run(
+        capsys, ["verify", "all", "--host-cap", "2", "--k-cap", "1", "--n-cap", "3"]
+    )
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+# sha256 of `hfree verify` stdout, byte for byte: every suite at its
+# acceptance caps, the same with two workers (the config records them), and
+# the case1 campaign one host-size step up
+GOLDEN_VERIFY_SHA256 = {
+    ("all",): "c38bbef21e82f706b82ea8c2b1e59c6b42fb506f2af888be210506361534cfe0",
+    ("all", "--workers", "2"): (
+        "c592c0467e66346dd68913f54a1e7c04e47a9d43ef2f9d7a78aa30addc5d1b40"
+    ),
+    ("case1", "--host-cap", "5"): (
+        "ff9af1580e34f65b0aa07744ff17b2f986ac7d9aa74f6f724e813d94893b4cf4"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_VERIFY_SHA256))
+def test_verify_outputs_are_pinned(argv, capsys, monkeypatch):
+    # two workers must be allowed whatever the machine's CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, _ = run(capsys, ["verify", *argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_SHA256[argv]
+
+
 def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "hfree.cli", "--help"],

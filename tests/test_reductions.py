@@ -139,6 +139,32 @@ def test_construct_tdiamond_frozen():
     assert out == g and records == []
 
 
+def test_one_scaffold_serves_every_host_of_its_size():
+    # two 4-vertex hosts with different edges, built in one scope, get what
+    # fresh builds give them, from one scaffold per construction
+    h, vp = diamond(), diamond_high_pair()
+    scaffolds = {}
+    for joined, build in ((False, construct_nonadj), (True, construct_adj)):
+        for host in (path(4), disjoint_union(complete(3), null_graph(1))):
+            out, records = build(host, 2, h, vp, scaffolds)
+            assert (out, records) == build(host, 2, h, vp)
+            assert audit_branch_construction(host, 2, h, vp, out, records, joined) == []
+    assert len(scaffolds) == 2
+
+
+def test_steps_keep_their_scaffolds_across_hosts_and_hops():
+    # the max degree strip runs three hops; its branch hop keeps its
+    # scaffold in the step's, so a second host of the same size reuses it
+    sub, _ = induced_subgraph(bowtie(), [1, 2, 3, 4])
+    step = chain_step(STEP_DEGREE, {"d": 4, "variant": "max"}, bowtie(), DEL)
+    for host in (complete(4), cycle(4)):
+        out = apply_step(step, Instance(g=host, k=1, h=sub, kind=DEL))
+        assert out == reduce_instance(
+            Instance(g=host, k=1, h=sub, kind=DEL), STEP_DEGREE, step.params, bowtie()
+        )[0]
+    assert len(step.scaffolds) == 1
+
+
 # ---------------------------------------------------------------- audits
 
 

@@ -83,6 +83,25 @@ def test_brute_matches_branching():
                             assert check_witness(g, k, h, kind, r.witness)
 
 
+def test_dense_hosts_are_solved_in_the_complement(monkeypatch):
+    # the rule routes no host under DENSE_MIN_VERTICES; lowered, it routes
+    # every small host with more than three quarters of its pairs as edges,
+    # and each answer and witness must hold on the instance as given
+    from hfree import solve
+
+    monkeypatch.setattr(solve, "DENSE_MIN_VERTICES", 1)
+    hosts = [g for g in graphs_up_to(7) if solve._is_dense(g)]
+    assert len(hosts) == 57
+    for g in hosts:
+        for h in graphs_up_to(4):
+            for kind in KINDS:
+                for k in range(3):
+                    r = solve_branching(g, k, h, kind)
+                    assert r.answer == solve_bruteforce(g, k, h, kind).answer
+                    if r.answer:
+                        assert check_witness(g, k, h, kind, r.witness), (g, k, h, kind)
+
+
 def test_budget_monotone():
     for g in graphs_up_to(4):
         answers = [solve_branching(g, k, path(3), DEL).answer for k in range(4)]

@@ -5,11 +5,14 @@ import os
 
 import pytest
 
+from hfree import reductions
 from hfree.graphs import complete, t_diamond
 from hfree.problems import STEP_TDIAMOND, Instance, ModificationKind
 from hfree.reductions import reduce_instance
 from hfree.verify import (
+    _SUITES,
     SUITE_NAMES,
+    _degree_steps,
     run_audit_suite,
     run_churn_suite,
     run_classify_suite,
@@ -80,6 +83,42 @@ def test_run_suite_refuses_caps_below_1():
     ):
         with pytest.raises(ValueError, match="must be at least 1"):
             run_suite(name, **caps)
+
+
+def test_run_suite_refuses_caps_it_does_not_read():
+    for name in SUITE_NAMES:
+        defaults = _SUITES[name][0]
+        for cap, default in zip(("host_cap", "k_cap", "n_cap"), defaults):
+            if not default:
+                with pytest.raises(ValueError, match=f"the {name} suite reads no"):
+                    run_suite(name, **{cap: 3})
+    # all gives each suite only the caps it reads
+    report = run_suites(["all"], host_cap=2, k_cap=1, n_cap=3)
+    assert report["ok"] is True
+    assert report["suites"]["classify"]["n_cap"] == 3
+    assert report["suites"]["degree"]["campaigns"][0]["host_cap"] == 2
+
+
+def test_campaigns_build_one_scaffold_per_host_size_and_budget(monkeypatch):
+    # each scaffold build enumerates its placements once
+    builds = []
+    enumerate_copies = reductions.enumerate_pattern_copies
+
+    def counted(n, pattern):
+        builds.append(n)
+        return enumerate_copies(n, pattern)
+
+    monkeypatch.setattr(reductions, "enumerate_pattern_copies", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    first = run_suite("degree", host_cap=4, k_cap=2)
+    # one per step, host size that fits V' (the source pattern) and budget
+    assert len(builds) == sum(
+        2 * max(0, 4 - step.source_h.n + 1) for step in _degree_steps()
+    ) == 30
+    # the scaffolds go with the steps: a second run builds them all again
+    assert run_suite("degree", host_cap=4, k_cap=2) == first
+    assert len(builds) == 60
+    assert run_suite("degree", host_cap=4, k_cap=2, workers=2) == first
 
 
 def test_worker_pool_is_capped_and_sized_by_the_cases(monkeypatch):
