@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import random
+from dataclasses import replace
 from typing import Any, Callable
 
 from .classify import (
@@ -113,7 +114,10 @@ def verify_equivalence(
     step: ReductionStep, host_cap: int, k_cap: int, workers: int = 1
 ) -> dict[str, Any]:
     """Check a step's yes/no equivalence over every source host up to
-    isomorphism with at most host_cap vertices and budgets 1..k_cap."""
+    isomorphism with at most host_cap vertices and budgets 1..k_cap.  The
+    campaign runs a copy of the step, so the branch scaffolds it builds go
+    when it ends."""
+    step = replace(step, scaffolds={})
     cases = [
         (step, g, k)
         for n in range(1, host_cap + 1)
