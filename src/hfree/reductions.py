@@ -23,7 +23,9 @@ the host's vertex count, k, h and V' alone: a BranchScaffold holds it, and
 a host's output is the union of the host's edges with its scaffold's.  A
 step keeps the scaffolds its runs build (`ReductionStep.scaffolds`), so a
 campaign builds one per host size and budget, and they go when the step
-does.
+does.  Joined outputs, and those routed through the complement, are
+dense; `solve_branching` searches a host of at least 8 vertices with more
+than three quarters of its pairs as edges in the complement.
 """
 from __future__ import annotations
 

@@ -30,10 +30,9 @@ from .problems import Instance, ModificationKind
 DEFAULT_BRUTE_CAP = 500_000
 BRUTE_CAP_ENV = "HFREE_BRUTE_CAP"
 # The fewest vertices of a host that solve_branching searches in the
-# complement.  The campaigns' source hosts have at most 6 vertices; on
-# those, complementing the host and the pattern cost more than the search
-# saved, and `verify degree --host-cap 5` and `verify complement
-# --host-cap 6` ran slower.
+# complement.  On the campaigns' source hosts (at most 6 vertices), dense
+# ones searched in the complement took about twice as long, complementing
+# the host and the pattern included, as searched directly.
 DENSE_MIN_VERTICES = 8
 
 

@@ -115,9 +115,13 @@ def test_campaigns_build_one_scaffold_per_host_size_and_budget(monkeypatch):
     assert len(builds) == sum(
         2 * max(0, 4 - step.source_h.n + 1) for step in _degree_steps()
     ) == 30
-    # the scaffolds go with the steps: a second run builds them all again
+    # each campaign's scaffolds go when it ends: a second run builds them
+    # all again, and the step given to a campaign keeps none
     assert run_suite("degree", host_cap=4, k_cap=2) == first
     assert len(builds) == 60
+    step = _degree_steps()[0]
+    assert verify_equivalence(step, host_cap=4, k_cap=2) == first["campaigns"][0]
+    assert step.scaffolds == {}
     assert run_suite("degree", host_cap=4, k_cap=2, workers=2) == first
 
 
