@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Any
+from typing import Any, NamedTuple
 
 from .graphs import (
     Edge,
@@ -23,17 +23,13 @@ from .graphs import (
     complement,
     edge,
     find_induced_copy,
+    is_dense,
     is_induced_copy_free,
 )
 from .problems import Instance, ModificationKind
 
 DEFAULT_BRUTE_CAP = 500_000
 BRUTE_CAP_ENV = "HFREE_BRUTE_CAP"
-# The fewest vertices of a host that solve_branching searches in the
-# complement.  On the campaigns' source hosts (at most 6 vertices), dense
-# ones searched in the complement took about twice as long, complementing
-# the host and the pattern included, as searched directly.
-DENSE_MIN_VERTICES = 8
 
 
 class BruteForceCapExceeded(RuntimeError):
@@ -89,6 +85,14 @@ def brute_force_cap() -> int:
     return int(raw)
 
 
+class _Candidate(NamedTuple):
+    """One candidate edit set's graph, as the freeness test reads a host:
+    a vertex count and neighbour masks."""
+
+    n: int
+    masks: list[int]
+
+
 def solve_bruteforce(
     g: Graph, k: int, h: Graph, kind: ModificationKind, cap: int | None = None
 ) -> SolveResult:
@@ -96,7 +100,9 @@ def solve_bruteforce(
 
     The number of candidate sets is computed up front and compared against
     the cap (HFREE_BRUTE_CAP overrides the default); an oversized space is
-    refused outright rather than answered heuristically.
+    refused outright rather than answered heuristically.  Each candidate is
+    g's neighbour masks with both bits of each of its pairs flipped; no
+    graph is built for it.
     """
     if k < 0:
         raise ValueError(f"budget must be non-negative, got {k}")
@@ -113,8 +119,11 @@ def solve_bruteforce(
     for size in range(depth + 1):
         for combo in combinations(pairs, size):
             nodes += 1
-            candidate = Graph(g.n, g.edges ^ set(combo))
-            if is_induced_copy_free(candidate, h):
+            masks = list(g.masks)
+            for u, v in combo:
+                masks[u] ^= 1 << v
+                masks[v] ^= 1 << u
+            if is_induced_copy_free(_Candidate(g.n, masks), h):
                 return SolveResult(
                     answer=True,
                     witness=_split_edits(g, combo),
@@ -140,16 +149,6 @@ class _ToggledHost:
         self.masks[v] ^= 1 << u
 
 
-def _is_dense(g: Graph) -> bool:
-    """Whether the branching search runs on g's complement: g has at least
-    DENSE_MIN_VERTICES vertices and more than three quarters of its pairs
-    are edges.  On random hosts of 12 to 30 vertices, the complement's
-    search broke even at a density of about 0.7 to 0.75, was slower below
-    (1.2 to 2 times at 0.4 to 0.65, and 3 s against 0.1 s on K40,40) and
-    up to 5 times faster above."""
-    return g.n >= DENSE_MIN_VERTICES and 4 * g.m > 3 * comb(g.n, 2)
-
-
 def solve_branching(
     g: Graph, k: int, h: Graph, kind: ModificationKind
 ) -> SolveResult:
@@ -164,7 +163,7 @@ def solve_branching(
     open nodes live on an explicit stack, so any budget fits.
 
     The search reads the host through neighbour masks, which prune little
-    in a dense host.  So a dense g (see `_is_dense`) is solved in the
+    in a dense host.  So a dense g (see `graphs.is_dense`) is solved in the
     complement: g' is h-free iff its complement is free of h's complement,
     and toggling a pair toggles it in both, so (complement(g), k,
     complement(h), flipped kind) has the same answer and the same witness
@@ -172,7 +171,7 @@ def solve_branching(
     """
     if k < 0:
         raise ValueError(f"budget must be non-negative, got {k}")
-    if not _is_dense(g):
+    if not is_dense(g):
         return _search(g, k, h, kind)
     found = _search(complement(g), k, complement(h), kind.flipped())
     if found.witness is None:

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from hfree import graphs, solve
+from hfree.classify import build_chain
 from hfree.graphs import (
     Graph,
     complete,
@@ -16,7 +18,8 @@ from hfree.graphs import (
     t_diamond,
 )
 from hfree.problems import Instance, ModificationKind
-from hfree.smallgraphs import graphs_up_to
+from hfree.reductions import apply_step
+from hfree.smallgraphs import find_sparse_witness, graphs_up_to
 from hfree.solve import (
     BruteForceCapExceeded,
     brute_force_cap,
@@ -87,10 +90,8 @@ def test_dense_hosts_are_solved_in_the_complement(monkeypatch):
     # the rule routes no host under DENSE_MIN_VERTICES; lowered, it routes
     # every small host with more than three quarters of its pairs as edges,
     # and each answer and witness must hold on the instance as given
-    from hfree import solve
-
-    monkeypatch.setattr(solve, "DENSE_MIN_VERTICES", 1)
-    hosts = [g for g in graphs_up_to(7) if solve._is_dense(g)]
+    monkeypatch.setattr(graphs, "DENSE_MIN_VERTICES", 1)
+    hosts = [g for g in graphs_up_to(7) if graphs.is_dense(g)]
     assert len(hosts) == 57
     for g in hosts:
         for h in graphs_up_to(4):
@@ -100,6 +101,65 @@ def test_dense_hosts_are_solved_in_the_complement(monkeypatch):
                     assert r.answer == solve_bruteforce(g, k, h, kind).answer
                     if r.answer:
                         assert check_witness(g, k, h, kind, r.witness), (g, k, h, kind)
+
+
+def test_dense_hosts_are_tested_for_freeness_in_the_complement(monkeypatch):
+    # at the default floor no host of at most 7 vertices is routed, so
+    # these answers come from the direct search
+    patterns = list(graphs_up_to(4))
+    direct = {(g, h): is_induced_copy_free(g, h) for g in graphs_up_to(7) for h in patterns}
+    monkeypatch.setattr(graphs, "DENSE_MIN_VERTICES", 1)
+    hosts = [g for g in graphs_up_to(7) if graphs.is_dense(g)]
+    assert len(hosts) == 57
+    complemented = []
+    original = graphs.complement
+
+    def counted(g):
+        complemented.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "complement", counted)
+    for g in hosts:
+        for h in patterns:
+            assert is_induced_copy_free(g, h) == direct[g, h], (g, h)
+    assert len(complemented) == 2 * len(hosts) * len(patterns)
+
+
+def test_planted_sparse_vh_witness_is_checked():
+    # the sparse-vh step's 7-vertex source, used as its own host at k = 1,
+    # grows a target of 1267 vertices with 99.5 % of its pairs as edges;
+    # searched directly, its witness check ran for over 300 s
+    step = build_chain(find_sparse_witness(1, 0, exclude_t_diamond=True), DEL)[0][0]
+    src = Instance(g=step.source_h, k=1, h=step.source_h, kind=step.source_kind)
+    target = apply_step(step, src)
+    assert (target.g.n, target.g.m) == (1267, 798_217)
+    r = solve_branching(target.g, target.k, target.h, target.kind)
+    assert r.answer
+    assert check_witness(target.g, target.k, target.h, target.kind, r.witness)
+
+
+def test_brute_force_builds_no_graph_per_candidate(monkeypatch):
+    g, h = complete(6), complete(3)
+    built = []
+    searched = []
+    post_init = Graph.__post_init__
+    free = solve.is_induced_copy_free
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_free(host, pattern):
+        searched.append(host)
+        return free(host, pattern)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted_post_init)
+    monkeypatch.setattr(solve, "is_induced_copy_free", counted_free)
+    r = solve_bruteforce(g, 1, h, DEL)
+    # every one of the 15 single deletions leaves a triangle
+    assert not r.answer and r.stats.nodes == 16
+    assert built == []
+    assert len(searched) == r.stats.nodes
 
 
 def test_budget_monotone():
