@@ -22,7 +22,7 @@ from math import comb
 from typing import Any
 
 from .formats import graph_to_obj
-from .graphs import Graph, is_forest, is_regular
+from .graphs import Graph, edges_within, is_forest, is_regular
 from .problems import (
     ANCHORS,
     BASE_DIAMOND_DELETION,
@@ -157,19 +157,13 @@ def deletion_churn(h: Graph) -> tuple[Graph, list[ChurnStep]]:
     cur = h
     while True:
         for d, variant in ((min(cur.degrees), "min"), (max(cur.degrees), "max")):
-            if _edges_within(cur, degree_kept(cur, d, variant)) >= 2:
+            if edges_within(cur, degree_kept(cur, d, variant)) >= 2:
                 break
         else:
             return cur, steps
         step = chain_step(STEP_DEGREE, {"d": d, "variant": variant}, cur, deletion)
         steps.append(ChurnStep(step))
         cur = step.source_h
-
-
-def _edges_within(g: Graph, vs: list[int]) -> int:
-    """The edge count of g[vs]."""
-    inside = sum(1 << v for v in vs)
-    return sum((g.masks[v] & inside).bit_count() for v in vs) // 2
 
 
 # ---------------------------------------------------------------------------

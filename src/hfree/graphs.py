@@ -9,16 +9,17 @@ exact and deterministic; nothing is sampled or approximated.
 
 Every induced-copy question goes through one search loop,
 `_first_embedding`, which returns the least embedding along the pattern's
-`search_order`.  The searches read a host only through `n` and `masks`, so
-the solvers pass light mask-only hosts instead of building graphs, and the
-freeness test searches the complement of a dense host (`is_dense`).
+`search_order`.  A host is a `Graph` or a `Host`, its vertex count and
+neighbour masks alone, so the solvers edit masks instead of building
+graphs.  The freeness test searches the complement of a dense host
+(`is_dense`).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -127,6 +128,13 @@ class Graph:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
 
+class Host(NamedTuple):
+    """A host as the searches read it: a vertex count and neighbour masks."""
+
+    n: int
+    masks: Sequence[int]
+
+
 def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]] = ()) -> Graph:
     return Graph(n, frozenset(edge(u, v) for u, v in pairs))
 
@@ -139,9 +147,8 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def complement(g: Graph) -> Graph:
-    """The complement of g, read through `n` and `masks` only, so any host
-    object with those two attributes will do."""
+def complement(g: Graph | Host) -> Graph:
+    """The complement of g."""
     everyone = (1 << g.n) - 1
     missing = (
         (u, v)
@@ -151,13 +158,13 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, frozenset(missing))
 
 
-def is_dense(g: Graph) -> bool:
+def is_dense(g: Graph | Host) -> bool:
     """Whether a search for induced copies runs on g's complement: g has at
     least DENSE_MIN_VERTICES vertices and more than three quarters of its
-    pairs are edges.  Read through `n` and `masks` only.  On random hosts of
-    12 to 30 vertices, the complement's search broke even at a density of
-    about 0.7 to 0.75, was slower below (1.2 to 2 times at 0.4 to 0.65, and
-    3 s against 0.1 s on K40,40) and up to 5 times faster above."""
+    pairs are edges.  On random hosts of 12 to 30 vertices, the
+    complement's search broke even at a density of about 0.7 to 0.75, was
+    slower below (1.2 to 2 times at 0.4 to 0.65, and 3 s against 0.1 s on
+    K40,40) and up to 5 times faster above."""
     n = g.n
     # sum of the degrees = 2m, and m > (3/4) C(n, 2)  <=>  8m > 3n(n - 1)
     return n >= DENSE_MIN_VERTICES and 4 * sum(m.bit_count() for m in g.masks) > 3 * n * (n - 1)
@@ -177,6 +184,12 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]
         (relabel[u], relabel[v]) for u, v in g.edges if u in relabel and v in relabel
     )
     return Graph(len(keep), kept), relabel
+
+
+def edges_within(g: Graph, vs: Collection[int]) -> int:
+    """The edge count of g[vs], without building it."""
+    inside = sum(1 << v for v in vs)
+    return sum((g.masks[v] & inside).bit_count() for v in vs) // 2
 
 
 def delete_edges(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -333,19 +346,17 @@ def make_named(family: str, *params: int) -> Graph:
 # embeddings, isomorphism, copy enumeration
 
 def _first_embedding(
-    host: Graph, pattern: Graph, forced: dict[int, int] | None = None
+    host: Graph | Host, pattern: Graph, forced: dict[int, int] | None = None
 ) -> list[int] | None:
     """The least induced embedding of pattern into host, as the images of
     `pattern.search_order` in turn, or None.  Least means lexicographically
     least along that order; `forced` pins pattern vertices to host vertices.
 
     Adjacency must match exactly in both directions (edges map to edges,
-    non-edges to non-edges).  The host is read only through `n` and
-    `masks`, so any object with those two attributes will do.  A position's
-    candidates are the unused host vertices inside the neighbour mask of
-    every image of an earlier pattern neighbour and outside that of every
-    earlier non-neighbour, of at least the pattern vertex's degree, tried in
-    ascending order.
+    non-edges to non-edges).  A position's candidates are the unused host
+    vertices inside the neighbour mask of every image of an earlier pattern
+    neighbour and outside that of every earlier non-neighbour, of at least
+    the pattern vertex's degree, tried in ascending order.
 
     Unpinned, a position whose plan names an earlier twin takes only
     candidates above that twin's image.  Swapping two twins is an
@@ -414,7 +425,7 @@ def find_induced_embedding(
     return dict(zip(pattern.search_order, found))
 
 
-def is_induced_copy_free(g: Graph, h: Graph) -> bool:
+def is_induced_copy_free(g: Graph | Host, h: Graph) -> bool:
     """True iff g has no induced subgraph isomorphic to h.
 
     A dense g (see `is_dense`) is searched in the complement: g has an
@@ -426,7 +437,7 @@ def is_induced_copy_free(g: Graph, h: Graph) -> bool:
     return _first_embedding(g, h) is None
 
 
-def find_induced_copy(g: Graph, h: Graph) -> tuple[int, ...] | None:
+def find_induced_copy(g: Graph | Host, h: Graph) -> tuple[int, ...] | None:
     """Vertex set of the first induced copy of h in g, or None.
 
     The copy is the image of the least embedding, so repeated runs always
@@ -457,7 +468,7 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
         return False
     if sorted(a.degrees) != sorted(b.degrees):
         return False
-    return find_induced_embedding(b, a) is not None
+    return _first_embedding(b, a) is not None
 
 
 def isomorphism_extending(

@@ -13,6 +13,7 @@ from .graphs import (
     Graph,
     are_isomorphic,
     connected_components,
+    edges_within,
     induced_subgraph,
     is_forest,
     is_regular,
@@ -139,11 +140,11 @@ def recognize_sparse_lh(h: Graph) -> SparseLH | None:
     low, high = values
     v_low = frozenset(v for v in h.vertices if h.degree(v) == low)
     v_high = frozenset(v for v in h.vertices if h.degree(v) == high)
-    low_g, _ = induced_subgraph(h, v_low)
-    high_g, _ = induced_subgraph(h, v_high)
-    if low_g.m > 1 or high_g.m > 1:
+    edges_in_low = edges_within(h, v_low)
+    edges_in_high = edges_within(h, v_high)
+    if edges_in_low > 1 or edges_in_high > 1:
         return None
-    return SparseLH(low, high, v_low, v_high, low_g.m, high_g.m)
+    return SparseLH(low, high, v_low, v_high, edges_in_low, edges_in_high)
 
 
 def sparse_case(shape: SparseLH) -> int:

@@ -43,6 +43,7 @@ from .graphs import (
     bits,
     complement,
     edge,
+    edges_within,
     enumerate_pattern_copies,
     induced_subgraph,
     isomorphism_extending,
@@ -201,7 +202,7 @@ class BranchScaffold:
             placements //= automorphism_count(self.sub)
         branches = placements * (k + 1)
         outside = h.n - len(v_prime)
-        touching = sum(1 for a, b in h.edges if a not in v_prime or b not in v_prime)
+        touching = h.m - edges_within(h, v_prime)
         self.n = host_n + branches * outside
         self.m = branches * touching
         if joined:

@@ -2,10 +2,11 @@
 
 Two independent engines answer "can at most k edits make g free of induced
 copies of h": a bounded-depth branching search and a plain enumeration of
-all edit sets.  They share nothing beyond the freeness test, so agreement
-between them is meaningful evidence; the equivalence campaigns lean on the
-branching engine for the large constructed hosts and on the enumerator as
-the ground truth for the small ones.
+all edit sets.  They share nothing beyond the freeness test and the `Host`
+it reads, so agreement between them is meaningful evidence; the
+equivalence campaigns lean on the branching engine for the large
+constructed hosts and on the enumerator as the ground truth for the small
+ones.
 """
 from __future__ import annotations
 
@@ -13,12 +14,13 @@ import os
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Any, NamedTuple
+from typing import Any
 
 from .graphs import (
     Edge,
     EditSet,
     Graph,
+    Host,
     apply_edits,
     complement,
     edge,
@@ -79,35 +81,27 @@ def _allowed_pairs(g: Graph, kind: ModificationKind) -> list:
 
 
 def brute_force_cap() -> int:
+    """HFREE_BRUTE_CAP as a non-negative integer, or the default when unset."""
     raw = os.environ.get(BRUTE_CAP_ENV)
     if raw is None:
         return DEFAULT_BRUTE_CAP
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{BRUTE_CAP_ENV} must be a non-negative integer, got {raw!r}")
     return int(raw)
 
 
-class _Candidate(NamedTuple):
-    """One candidate edit set's graph, as the freeness test reads a host:
-    a vertex count and neighbour masks."""
-
-    n: int
-    masks: list[int]
-
-
-def solve_bruteforce(
-    g: Graph, k: int, h: Graph, kind: ModificationKind, cap: int | None = None
-) -> SolveResult:
+def solve_bruteforce(g: Graph, k: int, h: Graph, kind: ModificationKind) -> SolveResult:
     """Try every edit set of size at most k, smallest first.
 
     The number of candidate sets is computed up front and compared against
     the cap (HFREE_BRUTE_CAP overrides the default); an oversized space is
     refused outright rather than answered heuristically.  Each candidate is
-    g's neighbour masks with both bits of each of its pairs flipped; no
-    graph is built for it.
+    a Host of g's neighbour masks with both bits of each of its pairs
+    flipped; no graph is built for it.
     """
     if k < 0:
         raise ValueError(f"budget must be non-negative, got {k}")
-    if cap is None:
-        cap = brute_force_cap()
+    cap = brute_force_cap()
     pairs = _allowed_pairs(g, kind)
     depth = min(k, len(pairs))
     space = sum(comb(len(pairs), size) for size in range(depth + 1))
@@ -123,30 +117,13 @@ def solve_bruteforce(
             for u, v in combo:
                 masks[u] ^= 1 << v
                 masks[v] ^= 1 << u
-            if is_induced_copy_free(_Candidate(g.n, masks), h):
+            if is_induced_copy_free(Host(g.n, masks), h):
                 return SolveResult(
                     answer=True,
                     witness=_split_edits(g, combo),
                     stats=SolveStats(nodes=nodes, copies_found=0),
                 )
     return SolveResult(answer=False, witness=None, stats=SolveStats(nodes, 0))
-
-
-class _ToggledHost:
-    """The branching search's current graph: one list of neighbour masks,
-    edited in place.  `find_induced_copy` reads it as it reads a Graph,
-    through `n` and `masks`."""
-
-    __slots__ = ("n", "masks")
-
-    def __init__(self, g: Graph) -> None:
-        self.n = g.n
-        self.masks = list(g.masks)
-
-    def toggle(self, pair: Edge) -> None:
-        u, v = pair
-        self.masks[u] ^= 1 << v
-        self.masks[v] ^= 1 << u
 
 
 def solve_branching(
@@ -157,8 +134,8 @@ def solve_branching(
 
     A pair edited once on the current path is never touched again on that
     path, so each leaf's accumulated pair set is exactly its symmetric
-    difference from g.  The current graph is a single mutable host: each
-    branch toggles its pair's two mask bits and toggles them back on
+    difference from g.  The current graph is a single mutable Host: each
+    branch flips its pair's two mask bits and flips them back on
     backtrack, so a node costs one copy search and no graph rebuild.  The
     open nodes live on an explicit stack, so any budget fits.
 
@@ -167,29 +144,34 @@ def solve_branching(
     complement: g' is h-free iff its complement is free of h's complement,
     and toggling a pair toggles it in both, so (complement(g), k,
     complement(h), flipped kind) has the same answer and the same witness
-    pairs, which are re-split into deletions and completions against g.
+    pairs.  Either way the pairs are split into deletions and completions
+    against g.
     """
     if k < 0:
         raise ValueError(f"budget must be non-negative, got {k}")
-    if not is_dense(g):
-        return _search(g, k, h, kind)
-    found = _search(complement(g), k, complement(h), kind.flipped())
-    if found.witness is None:
-        return found
-    pairs = found.witness.deletions | found.witness.completions
-    return SolveResult(True, _split_edits(g, pairs), found.stats)
+    if is_dense(g):
+        pairs, stats = _search(complement(g), k, complement(h), kind.flipped())
+    else:
+        pairs, stats = _search(g, k, h, kind)
+    if pairs is None:
+        return SolveResult(False, None, stats)
+    return SolveResult(True, _split_edits(g, pairs), stats)
 
 
-def _search(g: Graph, k: int, h: Graph, kind: ModificationKind) -> SolveResult:
-    """solve_branching's search tree on g itself."""
-    cur = _ToggledHost(g)
+def _search(
+    g: Graph, k: int, h: Graph, kind: ModificationKind
+) -> tuple[list[Edge] | None, SolveStats]:
+    """solve_branching's search tree on g itself: the pairs edited on the
+    way to the first h-free leaf, or None, and the search's stats."""
+    masks = list(g.masks)
+    cur = Host(g.n, masks)
     path: list[Edge] = []
 
     def candidates(copy: tuple[int, ...]) -> list[Edge]:
         present = []
         absent = []
         for u, v in combinations(copy, 2):
-            (present if cur.masks[u] >> v & 1 else absent).append(edge(u, v))
+            (present if masks[u] >> v & 1 else absent).append(edge(u, v))
         if kind is ModificationKind.DELETION:
             return present
         if kind is ModificationKind.COMPLETION:
@@ -205,7 +187,7 @@ def _search(g: Graph, k: int, h: Graph, kind: ModificationKind) -> SolveResult:
         nodes += 1
         copy = find_induced_copy(cur, h)
         if copy is None:
-            return SolveResult(True, _split_edits(g, path), SolveStats(nodes, copies))
+            return path, SolveStats(nodes, copies)
         copies += 1
         untried = []
         if len(path) < k:
@@ -214,10 +196,13 @@ def _search(g: Graph, k: int, h: Graph, kind: ModificationKind) -> SolveResult:
         while not frames[-1]:
             frames.pop()
             if not frames:
-                return SolveResult(False, None, SolveStats(nodes, copies))
-            cur.toggle(path.pop())
-        pair = frames[-1].pop()
-        cur.toggle(pair)
+                return None, SolveStats(nodes, copies)
+            u, v = path.pop()
+            masks[u] ^= 1 << v
+            masks[v] ^= 1 << u
+        pair = u, v = frames[-1].pop()
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
         path.append(pair)
 
 

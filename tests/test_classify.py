@@ -44,6 +44,7 @@ from hfree.problems import (
     ModificationKind,
     STEP_COMPLEMENT,
     STEP_TDIAMOND,
+    SparseLH,
 )
 from hfree.reductions import chain_step
 from hfree.smallgraphs import graphs_up_to
@@ -286,16 +287,20 @@ def test_is_t_diamond_matches_isomorphism():
 
 
 def test_sparse_class_split_matches_degree_profile():
-    for h in [t_diamond(3), path(4), k23(), sunlet(3)]:
-        sh = recognize_sparse_lh(h)
-        if sh is None:
-            continue
-        assert sh.v_low == {v for v in h.vertices if h.degree(v) == sh.low}
-        assert sh.v_high == {v for v in h.vertices if h.degree(v) == sh.high}
-        low_sub, _ = induced_subgraph(h, sorted(sh.v_low))
-        high_sub, _ = induced_subgraph(h, sorted(sh.v_high))
-        assert low_sub.m == sh.edges_in_low <= 1
-        assert high_sub.m == sh.edges_in_high <= 1
+    # the shape derived here by building each degree class's induced
+    # subgraph, on every graph of at most 7 vertices
+    for h in graphs_up_to(7):
+        expect = None
+        values = sorted(set(h.degrees))
+        if len(values) == 2:
+            low, high = values
+            v_low = frozenset(v for v in h.vertices if h.degree(v) == low)
+            v_high = frozenset(v for v in h.vertices if h.degree(v) == high)
+            in_low = induced_subgraph(h, v_low)[0].m
+            in_high = induced_subgraph(h, v_high)[0].m
+            if in_low <= 1 and in_high <= 1:
+                expect = SparseLH(low, high, v_low, v_high, in_low, in_high)
+        assert recognize_sparse_lh(h) == expect, serialize_graph6(h)
 
 
 # ---------------------------------------------------------------- sweeps

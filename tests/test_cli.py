@@ -242,6 +242,16 @@ def test_solve_exit_codes(tmp_path, capsys):
     assert json.loads(out)["answer"] is False
 
 
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+def test_invalid_brute_cap_exit_2(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("HFREE_BRUTE_CAP", raw)
+    inst = instance_file(
+        tmp_path, "in.json", path(4), 1, path(3), ModificationKind.DELETION
+    )
+    code, out, err = run(capsys, ["solve", "--input", inst, "--engine", "brute"])
+    assert code == 2 and not out and "HFREE_BRUTE_CAP" in err
+
+
 def test_malformed_inputs_exit_2(tmp_path, capsys):
     bad = write(tmp_path, "bad.g6", "!!not a graph!!")
     code, _, err = run(capsys, ["classify", "--input", bad, "--kind", "deletion"])

@@ -17,6 +17,7 @@ from hfree.graphs import (
     delete_edges,
     disjoint_union,
     edge,
+    edges_within,
     enumerate_induced_copies,
     enumerate_pattern_copies,
     find_induced_copy,
@@ -105,6 +106,13 @@ def test_induced_subgraph_c5_consecutive():
         vs = [(start + i) % 5 for i in range(4)]
         sub, _ = induced_subgraph(c5, vs)
         assert are_isomorphic(sub, path(4))
+
+
+def test_edges_within_counts_the_induced_subgraph():
+    for g in graphs_up_to(6):
+        for size in range(g.n + 1):
+            for vs in itertools.combinations(g.vertices, size):
+                assert edges_within(g, vs) == induced_subgraph(g, vs)[0].m
 
 
 def test_degree_profile_partition_and_handshake():

@@ -207,8 +207,18 @@ def test_brute_force_cap_refusal(monkeypatch):
     assert brute_force_cap() == 10
     with pytest.raises(BruteForceCapExceeded):
         solve_bruteforce(complete(4), 2, path(3), DEL)
-    # an explicit cap argument wins over the environment
-    assert solve_bruteforce(complete(4), 2, path(3), DEL, cap=10_000).answer
+    # 1 + 6 + 15 = 22 candidate sets: a space as large as the cap is searched
+    monkeypatch.setenv("HFREE_BRUTE_CAP", "22")
+    assert solve_bruteforce(complete(4), 2, path(3), DEL).answer
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+def test_brute_force_cap_must_be_a_non_negative_integer(monkeypatch, raw):
+    monkeypatch.setenv("HFREE_BRUTE_CAP", raw)
+    with pytest.raises(ValueError, match="HFREE_BRUTE_CAP"):
+        brute_force_cap()
+    with pytest.raises(ValueError, match="HFREE_BRUTE_CAP"):
+        solve_bruteforce(path(4), 1, path(3), DEL)
 
 
 def test_check_witness_rejections():
