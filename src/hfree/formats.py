@@ -191,11 +191,3 @@ def parse_graph(text: str) -> Graph:
     if isinstance(obj, dict):
         return graph_from_obj(obj)
     return parse_graph6(text)
-
-
-def serialize_graph(g: Graph, fmt: str = "graph6") -> str:
-    if fmt == "graph6":
-        return serialize_graph6(g)
-    if fmt == "json":
-        return serialize_graph_json(g)
-    raise ValueError(f"unknown graph format {fmt!r}")

@@ -23,11 +23,6 @@ from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
-# One shared copy of each distinct search-plan step.  Plans of different
-# patterns repeat the same few steps, and every enumerated small graph keeps
-# its plan, so sharing them keeps those plans from adding to peak memory.
-_PLAN_STEPS: dict[tuple[tuple[int, ...], tuple[int, ...], int, int], tuple] = {}
-
 # The fewest vertices of a host that `is_dense` calls dense.  On the
 # campaigns' source hosts (at most 6 vertices), dense ones searched in the
 # complement took about twice as long, complementing the host and the
@@ -109,8 +104,7 @@ class Graph:
                 (j for j in range(i) if not (mask ^ masks[order[j]]) & ~(1 << v | 1 << order[j])),
                 default=-1,
             )
-            step = (adjacent, apart, self.degree(v), twin)
-            plan.append(_PLAN_STEPS.setdefault(step, step))
+            plan.append((adjacent, apart, self.degree(v), twin))
         return tuple(plan)
 
     @cached_property
@@ -322,24 +316,6 @@ def join(a: Graph, b: Graph) -> Graph:
     base = disjoint_union(a, b)
     across = ((u, v + a.n) for u in a.vertices for v in b.vertices)
     return graph_from_edges(base.n, itertools.chain(base.edges, across))
-
-
-_FAMILIES = {
-    "path": path,
-    "cycle": cycle,
-    "complete": complete,
-    "null": null_graph,
-    "star": star,
-    "t_diamond": t_diamond,
-    "sunlet": sunlet,
-}
-
-
-def make_named(family: str, *params: int) -> Graph:
-    """Build a graph from a named family, e.g. make_named("path", 4)."""
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
-    return _FAMILIES[family](*params)
 
 
 # ---------------------------------------------------------------------------

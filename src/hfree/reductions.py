@@ -387,7 +387,9 @@ def degree_kept(h: Graph, d: int, variant: str) -> list[int]:
 
 def _degree_branches(h: Graph, kind: ModificationKind, params: dict[str, Any]) -> _Branches:
     d = params["d"]
-    variant = "max" if params.get("variant", "min") == "max" else "min"
+    variant = params.get("variant", "min")
+    if variant not in ("min", "max"):
+        raise ValueError(f"unknown degree variant {variant!r}; expected min or max")
     v_prime = degree_kept(h, d, variant)
     if variant == "max":
         side = "above the maximum"
@@ -501,19 +503,15 @@ def _through_complement(
 ) -> tuple[Graph, Metadata]:
     """Build `step` as three chain steps run in a row: complement the
     instance, run (name, params) on the complement pattern, complement
-    back; the hops keep their scaffolds in `step`'s.  The metadata records
-    the three executed hops; each hop's record, its own metadata included,
-    is serialized only when the metadata is."""
-    flipped = step.target_kind.flipped()
-    inner = chain_step(name, params, complement(step.target_h), flipped)
-    hops = [
-        replace(hop, scaffolds=step.scaffolds)
-        for hop in (
-            chain_step(STEP_COMPLEMENT, {}, inner.source_h, flipped),
-            inner,
-            chain_step(STEP_COMPLEMENT, {}, step.target_h, step.target_kind),
-        )
-    ]
+    back; the hops keep their scaffolds in `step`'s.  The back hop is
+    derived first, so a complement pattern over the caps is refused before
+    any graph is built.  The metadata records the three executed hops; each
+    hop's record, its own metadata included, is serialized only when the
+    metadata is."""
+    back = chain_step(STEP_COMPLEMENT, {}, step.target_h, step.target_kind)
+    inner = chain_step(name, params, back.source_h, back.source_kind)
+    forth = chain_step(STEP_COMPLEMENT, {}, inner.source_h, inner.source_kind)
+    hops = [replace(hop, scaffolds=step.scaffolds) for hop in (forth, inner, back)]
     runs = []
     for hop in hops:
         out, metadata = _run_step(hop, inst)

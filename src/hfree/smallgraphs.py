@@ -110,12 +110,15 @@ def _capped_two_class_realizations(
     yield from rec(0)
 
 
+# The most vertices of a graph that find_sparse_witness tries.
+WITNESS_MAX_N = 8
+
+
 @lru_cache(maxsize=None)
 def find_sparse_witness(
     edges_in_high: int,
     edges_in_low: int,
     exclude_t_diamond: bool = False,
-    max_n: int = 8,
 ) -> Graph:
     """First graph (in a fixed exhaustive order) whose degrees take exactly
     two values h > l >= 2, whose degree classes carry exactly the requested
@@ -124,7 +127,7 @@ def find_sparse_witness(
     Only graphs with two-valued degree sequences can qualify, so the search
     enumerates exactly those, smallest vertex count first.
     """
-    for n in range(4, max_n + 1):
+    for n in range(4, WITNESS_MAX_N + 1):
         for low in range(2, n - 1):
             for high in range(low + 1, n):
                 for high_count in range(1, n):
@@ -145,6 +148,6 @@ def find_sparse_witness(
                             continue
                         return g
     raise LookupError(
-        f"no two-valued-degree graph up to {max_n} vertices with "
+        f"no two-valued-degree graph up to {WITNESS_MAX_N} vertices with "
         f"{edges_in_high} high-class and {edges_in_low} low-class edges"
     )

@@ -12,7 +12,6 @@ from hfree.formats import (
     parse_graph,
     parse_graph6,
     parse_graph_json,
-    serialize_graph,
     serialize_graph6,
     serialize_graph_json,
 )
@@ -144,10 +143,6 @@ def test_autodetect():
     # '{' opens JSON even though it is also a legal graph6 byte
     g = parse_graph('{"n": 1, "edges": []}')
     assert g.n == 1
-
-
-def test_serialize_graph_default_is_graph6():
-    assert serialize_graph(complete(2)) == "A_"
 
 
 def test_graph6_rejects_garbage():

@@ -28,7 +28,6 @@ from hfree.graphs import (
     is_regular,
     isomorphism_extending,
     join,
-    make_named,
     null_graph,
     path,
     star,
@@ -170,9 +169,6 @@ def test_family_shapes():
 
     assert are_isomorphic(join(complete(2), null_graph(3)), t_diamond(3))
     assert are_isomorphic(star(3), graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]))
-    assert make_named("cycle", 5) == cycle(5)
-    with pytest.raises(ValueError):
-        make_named("mystery", 3)
     with pytest.raises(ValueError):
         t_diamond(0)
     with pytest.raises(ValueError):

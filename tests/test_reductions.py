@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hfree import reductions
 from hfree.graphs import (
     are_isomorphic,
     complement,
@@ -18,6 +19,7 @@ from hfree.graphs import (
     join,
     null_graph,
     path,
+    star,
     sunlet,
     t_diamond,
 )
@@ -507,6 +509,11 @@ def test_reduction_step_rejects_unknown_names_and_missing_params():
         chain_step(STEP_DEGREE, {}, path(5), DEL)
     with pytest.raises(ValueError, match=r"step degree-reduce needs params \['d'\]"):
         reduce_instance(inst, STEP_DEGREE, {}, path(5))
+    maximum = {"d": 1, "variant": "maximum"}
+    with pytest.raises(ValueError, match="unknown degree variant 'maximum'"):
+        chain_step(STEP_DEGREE, maximum, path(5), DEL)
+    with pytest.raises(ValueError, match="unknown degree variant 'maximum'"):
+        reduce_instance(inst, STEP_DEGREE, maximum, path(5))
 
 
 def test_replay_chain_empty_and_single():
@@ -638,7 +645,7 @@ def test_construction_cap_refuses_before_building():
         construct_nonadj(path(200), 1, path(4), [0, 1])
 
 
-def test_complement_and_tdiamond_caps_refuse_before_building():
+def test_complement_and_tdiamond_caps_refuse_before_building(monkeypatch):
     # EEho's deletion chain complements a 6057-vertex degree construction,
     # which would give 18,328,466 edges
     from hfree.classify import classify
@@ -657,6 +664,19 @@ def test_complement_and_tdiamond_caps_refuse_before_building():
         ConstructionCapExceeded, match="9019 vertices and 4522527 edges"
     ):
         construct_tdiamond(path(10), 1000)
+
+    # a composite step checks its complement pattern against the cap before
+    # it builds any graph: the 40-leaf star's complement has 780 edges
+    monkeypatch.setattr(reductions, "CONSTRUCT_EDGE_CAP", 500)
+    calls = []
+    real_complement = reductions.complement
+    monkeypatch.setattr(
+        reductions, "complement", lambda g: calls.append(g) or real_complement(g)
+    )
+    leaves = Instance(g=path(3), k=1, h=null_graph(40), kind=DEL)
+    with pytest.raises(ConstructionCapExceeded, match="780 edges"):
+        reduce_instance(leaves, STEP_DEGREE, {"d": 40, "variant": "max"}, star(40))
+    assert calls == []
 
 
 def test_instance_round_trip():
