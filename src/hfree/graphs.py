@@ -1,16 +1,16 @@
 """Small simple graphs with exact structural queries.
 
-Vertices are the dense integers 0..n-1 and edges are unordered pairs stored
-as sorted tuples.  The one adjacency derived from the edges is `Graph.masks`,
-an int bitmask per vertex; `bits` lists a mask's vertices.  Everything here
-is pure: operations return new values and never mutate their inputs.  The
+Vertices are the dense integers 0..n-1.  A `Graph` is n and `Graph.masks`,
+an int bitmask of neighbours per vertex, which every builder here writes;
+its edges, sorted pairs, are derived on first read.  `bits` lists a mask's
+vertices.  Operations return new values and never mutate inputs.  The
 scale target is desk-sized graphs (tens of vertices), so all searches are
 exact and deterministic; nothing is sampled or approximated.
 
 Every induced-copy question goes through one search loop,
 `_first_embedding`, which returns the least embedding along the pattern's
-`search_order`.  A host is a `Graph` or a `Host`, its vertex count and
-neighbour masks alone, so the solvers edit masks instead of building
+`search_order`.  A host is a `Graph` or a `Host`, a view of a vertex count
+and neighbour masks that the solvers edit in place instead of building
 graphs.  The freeness test searches the complement of a dense host
 (`is_dense`).
 """
@@ -37,39 +37,45 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Immutable simple graph on vertices 0..n-1."""
+    """Immutable simple graph on 0..n-1: bit u of masks[v] is set iff uv is an edge."""
 
     n: int
-    edges: frozenset[Edge] = frozenset()
+    masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
+        """The graph with the given edges, each a sorted pair of vertices."""
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if not isinstance(self.edges, frozenset):
-            object.__setattr__(self, "edges", frozenset(self.edges))
-        for e in self.edges:
+        nbrs = [0] * n
+        for e in edges:
             u, v = e
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge {e} not a sorted pair inside range(0, {self.n})")
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge {e} not a sorted pair inside range(0, {n})")
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        self.__dict__.update(n=n, masks=tuple(nbrs))
 
-    @property
+    @classmethod
+    def from_masks(cls, n: int, masks: Iterable[int]) -> Graph:
+        """The graph with these neighbour masks, unchecked: for builds whose
+        masks are symmetric, loop-free and inside range(0, n) by construction."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, masks=tuple(masks))
+        return g
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset((u, v) for v in self.vertices for u in bits(self.masks[v] & (1 << v) - 1))
+
+    @cached_property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
     @property
     def vertices(self) -> range:
         return range(self.n)
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Neighbour bitmasks: bit u of masks[v] is set iff uv is an edge."""
-        nbrs = [0] * self.n
-        for u, v in self.edges:
-            nbrs[u] |= 1 << v
-            nbrs[v] |= 1 << u
-        return tuple(nbrs)
 
     @cached_property
     def search_order(self) -> tuple[int, ...]:
@@ -130,7 +136,7 @@ class Host(NamedTuple):
 
 
 def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]] = ()) -> Graph:
-    return Graph(n, frozenset(edge(u, v) for u, v in pairs))
+    return Graph(n, (edge(u, v) for u, v in pairs))
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -144,12 +150,7 @@ def bits(mask: int) -> Iterator[int]:
 def complement(g: Graph | Host) -> Graph:
     """The complement of g."""
     everyone = (1 << g.n) - 1
-    missing = (
-        (u, v)
-        for u in range(g.n)
-        for v in bits(everyone & ~(g.masks[u] | ((2 << u) - 1)))
-    )
-    return Graph(g.n, frozenset(missing))
+    return Graph.from_masks(g.n, (everyone & ~(mask | 1 << v) for v, mask in enumerate(g.masks)))
 
 
 def is_dense(g: Graph | Host) -> bool:
@@ -174,10 +175,9 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} outside range(0, {g.n})")
     relabel = {old: new for new, old in enumerate(keep)}
-    kept = frozenset(
-        (relabel[u], relabel[v]) for u, v in g.edges if u in relabel and v in relabel
-    )
-    return Graph(len(keep), kept), relabel
+    inside = sum(1 << v for v in keep)
+    kept = (sum(1 << relabel[u] for u in bits(g.masks[v] & inside)) for v in keep)
+    return Graph.from_masks(len(keep), kept), relabel
 
 
 def edges_within(g: Graph, vs: Collection[int]) -> int:
@@ -186,20 +186,26 @@ def edges_within(g: Graph, vs: Collection[int]) -> int:
     return sum((g.masks[v] & inside).bit_count() for v in vs) // 2
 
 
+def _toggled(g: Graph, deletions: Iterable[Edge], completions: Iterable[Edge]) -> Graph:
+    """g with the edges `deletions` deleted, then the non-edges `completions` added."""
+    masks = list(g.masks)
+    for pairs, present, wanted in ((deletions, 1, "edges"), (completions, 0, "non-edges")):
+        flips = {edge(u, v) for u, v in pairs}
+        bad = sorted((u, v) for u, v in flips if u < 0 or v >= g.n or masks[u] >> v & 1 != present)
+        if bad:
+            raise ValueError(f"pairs {bad} are not {wanted} of a graph on range(0, {g.n})")
+        for u, v in flips:
+            masks[u] ^= 1 << v
+            masks[v] ^= 1 << u
+    return Graph.from_masks(g.n, masks)
+
+
 def delete_edges(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
-    drop = {edge(u, v) for u, v in pairs}
-    missing = drop - g.edges
-    if missing:
-        raise ValueError(f"cannot delete non-edges {sorted(missing)}")
-    return Graph(g.n, g.edges - drop)
+    return _toggled(g, pairs, ())
 
 
 def add_edges(g: Graph, pairs: Iterable[tuple[int, int]]) -> Graph:
-    put = {edge(u, v) for u, v in pairs}
-    present = put & g.edges
-    if present:
-        raise ValueError(f"cannot add existing edges {sorted(present)}")
-    return Graph(g.n, g.edges | put)
+    return _toggled(g, (), pairs)
 
 
 @dataclass(frozen=True)
@@ -224,7 +230,7 @@ class EditSet:
 
 
 def apply_edits(g: Graph, edits: EditSet) -> Graph:
-    return add_edges(delete_edges(g, edits.deletions), edits.completions)
+    return _toggled(g, edits.deletions, edits.completions)
 
 
 def is_regular(g: Graph) -> bool:

@@ -160,10 +160,10 @@ class CliqueRecord:
 
 # Largest output that a construction or a complement step builds; a bigger
 # one is refused before it is built.  Nothing the tests, `hfree verify all`
-# or the benchmark run constructs more than 366 vertices or 7262 edges.  On 2 CPUs with Python 3.11, a construct_nonadj output of
-# 19,900 vertices took 11 MB and its bitmask adjacency 25 MB more, and a
-# construct_adj output of 985,634 edges took 125 MB (1,513,829 edges took
-# 221 MB), so at these caps a construction stays under about 150 MB.
+# or the benchmark run constructs more than 366 vertices or 7262 edges.  On
+# 2 CPUs with Python 3.11, a construct_nonadj output of 19,900 vertices took
+# 39 MB (masks take at most n * n / 8 bytes), and a construct_adj one of
+# 985,634 edges 1 MB, or 114 MB with its edges read as pairs, as reports do.
 CONSTRUCT_VERTEX_CAP = 20_000
 CONSTRUCT_EDGE_CAP = 1_000_000
 
@@ -209,12 +209,12 @@ class BranchScaffold:
             self.m += comb(branches * outside, 2) - branches * comb(outside, 2)
 
     @cached_property
-    def parts(self) -> tuple[frozenset[Edge], tuple[BranchRecord, ...]]:
-        """The scaffold's edges and its branch records, in placement order."""
+    def parts(self) -> tuple[Graph, tuple[BranchRecord, ...]]:
+        """The scaffold's edges, as a graph, and its branch records in placement order."""
         h, old_to_new = self.h, self.old_to_new
         outside = [v for v in h.vertices if v not in old_to_new]
         records: list[BranchRecord] = []
-        edges: set[Edge] = set()
+        masks = [0] * self.n
         next_vertex = self.host_n
         for copy in enumerate_pattern_copies(self.host_n, self.sub):
             # placement of the original pattern vertices, not the relabeled ones
@@ -228,8 +228,9 @@ class BranchScaffold:
                         ea = branch.get(a, f.get(a))
                         eb = branch.get(b, f.get(b))
                         branch_edges.append(edge(ea, eb))
+                        masks[ea] |= 1 << eb
+                        masks[eb] |= 1 << ea
                 branch_edges.sort()
-                edges.update(branch_edges)
                 records.append(
                     BranchRecord(
                         base_vertices=copy.vertices,
@@ -241,12 +242,13 @@ class BranchScaffold:
                 )
         if self.joined and outside:
             # branches are runs of len(outside) vertices after the host's;
-            # u joins every vertex from the start of the next branch on
+            # u joins every branch vertex outside its own run
             size = len(outside)
+            branched = (1 << next_vertex) - (1 << self.host_n)
             for u in range(self.host_n, next_vertex):
-                later = u - (u - self.host_n) % size + size
-                edges.update((u, v) for v in range(later, next_vertex))
-        return frozenset(edges), tuple(records)
+                start = u - (u - self.host_n) % size
+                masks[u] |= branched & ~((1 << start + size) - (1 << start))
+        return Graph.from_masks(self.n, masks), tuple(records)
 
 
 def construction_size(
@@ -285,8 +287,9 @@ def _attach_branches(
     if scaffold is None:
         scaffold = scaffolds[key] = BranchScaffold(g_prime.n, k, h, vp, joined)
     _check_size("the construction", scaffold.n, g_prime.m + scaffold.m)
-    edges, records = scaffold.parts
-    return Graph(scaffold.n, g_prime.edges | edges), list(records)
+    added, records = scaffold.parts
+    masks = [a | b for a, b in zip(g_prime.masks, added.masks)] + list(added.masks[g_prime.n :])
+    return Graph.from_masks(scaffold.n, masks), list(records)
 
 
 def construct_nonadj(
@@ -716,7 +719,7 @@ def audit_branch_construction(
             f"{len(records)} branch records for {len(copies)} placements"
         )
     original, _ = induced_subgraph(out, range(g_prime.n))
-    if original.edges != g_prime.edges:
+    if original != g_prime:
         problems.append("adjacency among original vertices changed")
     all_branch_vertices = {bv for rec in records for bv in rec.branch_vertices}
     max_outside_degree = max(
@@ -778,7 +781,7 @@ def audit_clique_construction(
     if len(records) != g_prime.m:
         problems.append(f"{len(records)} clique records for {g_prime.m} edges")
     original, _ = induced_subgraph(out, range(g_prime.n))
-    if original.edges != g_prime.edges:
+    if original != g_prime:
         problems.append("adjacency among original vertices changed")
     seen_edges = set()
     for i, rec in enumerate(records):

@@ -32,7 +32,9 @@ def graphs_with_vertex_count(n: int) -> tuple[Graph, ...]:
     seen: set[tuple[int, ...]] = set()
     for base in graphs_with_vertex_count(n - 1):
         for attach in _attach_sets(base):
-            g = Graph(n, base.edges | {(u, n - 1) for u in attach})
+            attached = sum(1 << u for u in attach)
+            masks = [m | 1 << n - 1 if attached >> u & 1 else m for u, m in enumerate(base.masks)]
+            g = Graph.from_masks(n, [*masks, attached])
             key = certificate(g)
             if key not in seen:
                 seen.add(key)

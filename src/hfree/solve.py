@@ -22,6 +22,7 @@ from .graphs import (
     Graph,
     Host,
     apply_edits,
+    bits,
     complement,
     edge,
     find_induced_copy,
@@ -66,18 +67,18 @@ class SolveResult:
 
 
 def _split_edits(g: Graph, pairs) -> EditSet:
-    deletions = frozenset(p for p in pairs if p in g.edges)
-    completions = frozenset(p for p in pairs if p not in g.edges)
+    deletions = frozenset(p for p in pairs if g.has_edge(*p))
+    completions = frozenset(p for p in pairs if not g.has_edge(*p))
     return EditSet(deletions=deletions, completions=completions)
 
 
-def _allowed_pairs(g: Graph, kind: ModificationKind) -> list:
-    if kind is ModificationKind.DELETION:
-        return sorted(g.edges)
-    all_pairs = [edge(u, v) for u, v in combinations(range(g.n), 2)]
+def _allowed_pairs(g: Graph, kind: ModificationKind) -> list[Edge]:
+    """The pairs that the kind may edit in g, in sorted order."""
+    if kind is ModificationKind.EDITING:
+        return list(combinations(range(g.n), 2))
     if kind is ModificationKind.COMPLETION:
-        return [p for p in all_pairs if p not in g.edges]
-    return all_pairs
+        g = complement(g)
+    return [(u, v) for u, mask in enumerate(g.masks) for v in bits(mask & ~((2 << u) - 1))]
 
 
 def brute_force_cap() -> int:
@@ -223,8 +224,8 @@ def check_witness(g: Graph, k: int, h: Graph, kind: ModificationKind, witness: E
         return False
     if kind is ModificationKind.COMPLETION and witness.deletions:
         return False
-    if any(p not in g.edges for p in witness.deletions):
+    if not all(0 <= u < v < g.n and g.has_edge(u, v) for u, v in witness.deletions):
         return False
-    if any(p in g.edges for p in witness.completions):
+    if any(0 <= u < v < g.n and g.has_edge(u, v) for u, v in witness.completions):
         return False
     return is_induced_copy_free(apply_edits(g, witness), h)

@@ -1,11 +1,13 @@
 """Core graph type, families, and induced-subgraph machinery."""
 import itertools
 import math
+import pickle
 
 import pytest
 
 from hfree.graphs import (
     EditSet,
+    Graph,
     add_edges,
     apply_edits,
     are_isomorphic,
@@ -83,6 +85,13 @@ def test_complement_p3_frozen():
 def test_complement_involution_exhaustive():
     for g in graphs_up_to(6):
         assert complement(complement(g)) == g
+        # both constructors, and the pickling of the worker pool, give one graph
+        from_masks = Graph.from_masks(g.n, g.masks)
+        assert from_masks == g and hash(from_masks) == hash(g)
+        assert Graph(g.n, g.edges) == g
+        assert pickle.loads(pickle.dumps(g)) == g
+        missing = set(itertools.combinations(g.vertices, 2)) - g.edges
+        assert complement(g) == Graph(g.n, missing)
 
 
 def test_induced_subgraph_diamond_high_pair():

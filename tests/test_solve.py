@@ -7,10 +7,14 @@ import pytest
 from hfree import graphs, solve
 from hfree.classify import build_chain
 from hfree.graphs import (
+    EditSet,
     Graph,
+    add_edges,
+    apply_edits,
     complete,
     cycle,
     delete_edges,
+    disjoint_union,
     edge,
     is_induced_copy_free,
     null_graph,
@@ -30,6 +34,7 @@ from hfree.solve import (
 )
 
 DEL = ModificationKind.DELETION
+EDIT = ModificationKind.EDITING
 KINDS = list(ModificationKind)
 
 
@@ -142,24 +147,67 @@ def test_brute_force_builds_no_graph_per_candidate(monkeypatch):
     g, h = complete(6), complete(3)
     built = []
     searched = []
-    post_init = Graph.__post_init__
+    init, from_masks = Graph.__init__, Graph.from_masks
     free = solve.is_induced_copy_free
 
-    def counted_post_init(self):
-        built.append(self)
-        post_init(self)
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted_from_masks(cls, *args):
+        built.append(args)
+        return from_masks(*args)
 
     def counted_free(host, pattern):
         searched.append(host)
         return free(host, pattern)
 
-    monkeypatch.setattr(Graph, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Graph, "__init__", counted_init)
+    monkeypatch.setattr(Graph, "from_masks", classmethod(counted_from_masks))
     monkeypatch.setattr(solve, "is_induced_copy_free", counted_free)
     r = solve_bruteforce(g, 1, h, DEL)
     # every one of the 15 single deletions leaves a triangle
     assert not r.answer and r.stats.nodes == 16
     assert built == []
     assert len(searched) == r.stats.nodes
+
+
+def test_pairs_outside_the_vertex_range_are_refused():
+    g = path(3)
+    for pair in ((-1, 1), (0, 3)):
+        deletion = EditSet(deletions=frozenset({pair}))
+        completion = EditSet(completions=frozenset({pair}))
+        for build in (
+            lambda: delete_edges(g, [pair]),
+            lambda: add_edges(g, [pair]),
+            lambda: apply_edits(g, deletion),
+            lambda: apply_edits(g, completion),
+            lambda: check_witness(g, 1, g, EDIT, completion),
+        ):
+            with pytest.raises(ValueError):
+                build()
+        assert not check_witness(g, 1, g, EDIT, deletion)
+
+
+def test_solve_and_check_read_no_edge_set(monkeypatch):
+    sparse = cycle(12)
+    dense = graphs.complement(disjoint_union(path(4), path(4)))
+    assert not graphs.is_dense(sparse) and graphs.is_dense(dense)
+    reads = []
+    derive = Graph.edges.func
+    monkeypatch.setattr(Graph, "edges", property(lambda g: reads.append(g) or derive(g)))
+    results = [
+        (sparse, 4, path(3), DEL, solve_branching(sparse, 4, path(3), DEL)),
+        (dense, 3, complete(3), EDIT, solve_branching(dense, 3, complete(3), EDIT)),
+    ]
+    for g in (cycle(5), complete(5), path(6)):
+        for kind in KINDS:
+            results.append((g, 2, path(3), kind, solve_bruteforce(g, 2, path(3), kind)))
+    assert any(r.answer for *_, r in results) and not all(r.answer for *_, r in results)
+    for g, k, h, kind, r in results:
+        if r.answer:
+            assert check_witness(g, k, h, kind, r.witness)
+    assert reads == []
 
 
 def test_budget_monotone():
