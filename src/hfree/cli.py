@@ -70,7 +70,8 @@ def cmd_churn(args: argparse.Namespace) -> int:
     return 0
 
 
-# step param -> the reduce flag that carries it
+# step param -> the reduce flag that carries it; reduce offers the steps
+# whose every param has one
 _PARAM_FLAGS = {"d": "--degree", "t": "--t"}
 
 
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--step",
         required=True,
-        choices=[name for name, spec in STEPS.items() if spec.cli],
+        choices=[name for name, spec in STEPS.items() if _PARAM_FLAGS.keys() >= set(spec.params)],
     )
     p.add_argument("--pattern", help="target pattern graph file")
     p.add_argument("--degree", type=int, help="degree threshold for degree-reduce")

@@ -9,10 +9,10 @@ exact and deterministic; nothing is sampled or approximated.
 
 Every induced-copy question goes through one search loop,
 `_first_embedding`, which returns the least embedding along the pattern's
-`search_order`.  A host is a `Graph` or a `Host`, a view of a vertex count
-and neighbour masks that the solvers edit in place instead of building
-graphs.  The freeness test searches the complement of a dense host
-(`is_dense`).
+`search_order`; no pattern vertex is placed in advance.  A host is a
+`Graph` or a `Host`, a view of a vertex count and neighbour masks that the
+solvers edit in place instead of building graphs.  The freeness test
+searches the complement of a dense host (`is_dense`).
 """
 from __future__ import annotations
 
@@ -327,12 +327,10 @@ def join(a: Graph, b: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # embeddings, isomorphism, copy enumeration
 
-def _first_embedding(
-    host: Graph | Host, pattern: Graph, forced: dict[int, int] | None = None
-) -> list[int] | None:
+def _first_embedding(host: Graph | Host, pattern: Graph) -> list[int] | None:
     """The least induced embedding of pattern into host, as the images of
     `pattern.search_order` in turn, or None.  Least means lexicographically
-    least along that order; `forced` pins pattern vertices to host vertices.
+    least along that order.
 
     Adjacency must match exactly in both directions (edges map to edges,
     non-edges to non-edges).  A position's candidates are the unused host
@@ -340,12 +338,11 @@ def _first_embedding(
     neighbour and outside that of every earlier non-neighbour, of at least
     the pattern vertex's degree, tried in ascending order.
 
-    Unpinned, a position whose plan names an earlier twin takes only
-    candidates above that twin's image.  Swapping two twins is an
-    automorphism of the pattern, so it maps an embedding that breaks this
-    order to one that is less at the earlier twin's position: the least
-    embedding keeps the order, and the search still finds it first.  Pins
-    can break the symmetry, so pinned searches skip this.
+    A position whose plan names an earlier twin takes only candidates above
+    that twin's image.  Swapping two twins is an automorphism of the
+    pattern, so it maps an embedding that breaks this order to one that is
+    less at the earlier twin's position: the least embedding keeps the
+    order, and the search still finds it first.
     """
     size = pattern.n
     if size > host.n:
@@ -355,7 +352,6 @@ def _first_embedding(
     order = pattern.search_order
     plan = pattern.search_plan
     masks = host.masks
-    pins = None if forced is None else [forced.get(v) for v in order]
     assigned = [-1] * size
     pools = [0] * size  # per position, the candidates not yet tried
     free = (1 << host.n) - 1  # host vertices no position holds
@@ -364,10 +360,7 @@ def _first_embedding(
     while True:
         adjacent, apart, degree, twin = plan[i]
         if entering:
-            if pins is None:
-                pool = free if twin < 0 else free & (-2 << assigned[twin])
-            else:
-                pool = free if pins[i] is None else free & (1 << pins[i])
+            pool = free if twin < 0 else free & (-2 << assigned[twin])
             for j in adjacent:
                 pool &= masks[assigned[j]]
             for j in apart:
@@ -396,12 +389,10 @@ def _first_embedding(
         entering = True
 
 
-def find_induced_embedding(
-    host: Graph, pattern: Graph, forced: dict[int, int] | None = None
-) -> dict[int, int] | None:
-    """The least induced embedding of pattern into host that extends
-    `forced` (see `_first_embedding`), as a pattern -> host map, or None."""
-    found = _first_embedding(host, pattern, forced)
+def find_induced_embedding(host: Graph, pattern: Graph) -> dict[int, int] | None:
+    """The least induced embedding of pattern into host (see
+    `_first_embedding`), as a pattern -> host map, or None."""
+    found = _first_embedding(host, pattern)
     if found is None:
         return None
     return dict(zip(pattern.search_order, found))
@@ -451,15 +442,6 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
     if sorted(a.degrees) != sorted(b.degrees):
         return False
     return _first_embedding(b, a) is not None
-
-
-def isomorphism_extending(
-    a: Graph, b: Graph, forced: dict[int, int]
-) -> dict[int, int] | None:
-    """An isomorphism a -> b that extends `forced`, or None."""
-    if a.n != b.n or a.m != b.m:
-        return None
-    return find_induced_embedding(b, a, forced=forced)
 
 
 def _refine(nbr: dict[int, int], cells: list[int], todo: list[int]) -> list[int]:

@@ -46,7 +46,6 @@ from .graphs import (
     edges_within,
     enumerate_pattern_copies,
     induced_subgraph,
-    isomorphism_extending,
     t_diamond,
 )
 from .problems import (
@@ -125,7 +124,10 @@ class ReductionStep:
 @dataclass(frozen=True)
 class BranchRecord:
     """One branch of one placement: the placed sub-pattern (base) plus the
-    fresh vertices and edges that complete it to a copy of h."""
+    fresh vertices and edges that complete it to a copy of h.  The copy's
+    map sends each pattern vertex of v_prime through `base_embedding` and
+    the i-th of the pattern's other vertices, in ascending order, to
+    `branch_vertices[i]`; both edge tuples are sorted."""
 
     base_vertices: tuple[int, ...]
     base_edges: tuple[Edge, ...]
@@ -234,7 +236,7 @@ class BranchScaffold:
                 records.append(
                     BranchRecord(
                         base_vertices=copy.vertices,
-                        base_edges=copy.edges,
+                        base_edges=tuple(sorted(copy.edges)),
                         branch_vertices=tuple(branch[v] for v in outside),
                         branch_edges=tuple(branch_edges),
                         base_embedding=tuple(sorted(f.items())),
@@ -337,19 +339,17 @@ def construct_tdiamond(g_prime: Graph, k: int) -> tuple[Graph, list[CliqueRecord
         g_prime.n + g_prime.m * (k + 1),
         g_prime.m * (1 + 2 * (k + 1) + comb(k + 1, 2)),
     )
-    new_edges: set[Edge] = set(g_prime.edges)
+    masks = list(g_prime.masks)
     records: list[CliqueRecord] = []
-    next_vertex = g_prime.n
     for u, v in sorted(g_prime.edges):
-        clique = tuple(range(next_vertex, next_vertex + k + 1))
-        next_vertex += k + 1
-        for i, a in enumerate(clique):
-            new_edges.add(edge(a, u))
-            new_edges.add(edge(a, v))
-            for b in clique[i + 1 :]:
-                new_edges.add(edge(a, b))
-        records.append(CliqueRecord(for_edge=edge(u, v), clique_vertices=clique))
-    return Graph(next_vertex, frozenset(new_edges)), records
+        start = len(masks)
+        clique = tuple(range(start, start + k + 1))
+        block = (1 << start + k + 1) - (1 << start)
+        masks[u] |= block
+        masks[v] |= block
+        masks += ((block ^ 1 << a) | 1 << u | 1 << v for a in clique)
+        records.append(CliqueRecord(for_edge=(u, v), clique_vertices=clique))
+    return Graph.from_masks(len(masks), masks), records
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +487,7 @@ class StepSpec:
     `params` names the step params they read.  `target(h, kind, params)`,
     set only on the steps that derive their target problem from the
     instance's (h, kind), returns that target; the other steps are told
-    their target pattern.  `cli` says whether `hfree reduce` offers it."""
+    their target pattern."""
 
     source: Callable[
         [Graph, ModificationKind, dict[str, Any]],
@@ -498,7 +498,6 @@ class StepSpec:
     target: Callable[
         [Graph, ModificationKind, dict[str, Any]], tuple[Graph, ModificationKind]
     ] | None = None
-    cli: bool = True
 
 
 def _through_complement(
@@ -576,12 +575,8 @@ STEPS: dict[str, StepSpec] = {
     STEP_SPARSE_VL: _branch_step(_low_pair_branches),
     STEP_SPARSE_VH: _branch_step(_high_pair_branches),
     STEP_SPARSE_CASE1: _branch_step(_case1_branches),
-    STEP_CONSTRUCT_NONADJ: _branch_step(
-        _given_branches(False), params=("v_prime",), cli=False
-    ),
-    STEP_CONSTRUCT_ADJ: _branch_step(
-        _given_branches(True), params=("v_prime",), cli=False
-    ),
+    STEP_CONSTRUCT_NONADJ: _branch_step(_given_branches(False), params=("v_prime",)),
+    STEP_CONSTRUCT_ADJ: _branch_step(_given_branches(True), params=("v_prime",)),
 }
 
 
@@ -710,8 +705,8 @@ def audit_branch_construction(
     vp = sorted(set(v_prime))
     sub, old_to_new = induced_subgraph(h, vp)
     copies = enumerate_pattern_copies(g_prime.n, sub)
-    outside = h.n - len(vp)
-    expected_n = g_prime.n + len(copies) * (k + 1) * outside
+    outside = [v for v in h.vertices if v not in old_to_new]
+    expected_n = g_prime.n + len(copies) * (k + 1) * len(outside)
     if out.n != expected_n:
         problems.append(f"vertex count {out.n}, expected {expected_n}")
     if len(records) != len(copies) * (k + 1):
@@ -722,9 +717,7 @@ def audit_branch_construction(
     if original != g_prime:
         problems.append("adjacency among original vertices changed")
     all_branch_vertices = {bv for rec in records for bv in rec.branch_vertices}
-    max_outside_degree = max(
-        (h.degree(x) for x in h.vertices if x not in old_to_new), default=0
-    )
+    max_outside_degree = max((h.degree(x) for x in outside), default=0)
     for i, rec in enumerate(records):
         own = set(rec.branch_vertices)
         allowed = set(rec.base_vertices) | own
@@ -733,18 +726,14 @@ def audit_branch_construction(
                 problems.append(f"record {i}: branch edge {a, b} leaves the branch")
             if a not in own and b not in own:
                 problems.append(f"record {i}: branch edge {a, b} misses the branch")
-            if edge(a, b) not in out.edges:
+            if not out.has_edge(a, b):
                 problems.append(f"record {i}: branch edge {a, b} absent from output")
-        pos = {v: j for j, v in enumerate(sorted(allowed))}
-        union = Graph(
-            len(pos),
-            frozenset(
-                edge(pos[a], pos[b])
-                for a, b in set(rec.base_edges) | set(rec.branch_edges)
-            ),
-        )
-        forced = {hv: pos[gv] for hv, gv in rec.base_embedding}
-        if isomorphism_extending(h, union, forced) is None:
+        # the record's own map of the pattern (see BranchRecord)
+        f = dict(rec.base_embedding)
+        f.update(zip(outside, rec.branch_vertices))
+        if sorted(f) != list(h.vertices) or sorted(f.values()) != sorted(allowed):
+            problems.append(f"record {i}: its map is not a bijection onto its vertices")
+        elif {edge(f[a], f[b]) for a, b in h.edges} != set(rec.base_edges) | set(rec.branch_edges):
             problems.append(f"record {i}: branch union is not a copy of the pattern")
         for bv in rec.branch_vertices:
             stray = set(bits(out.masks[bv])) - allowed

@@ -170,11 +170,16 @@ def test_reduce_unknown_step_exit_2(tmp_path, capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+def offered(spec):
+    """Whether `hfree reduce` offers the step: a flag carries each param it reads."""
+    return set(spec.params) <= cli._PARAM_FLAGS.keys()
+
+
 def test_reduce_step_choices_follow_the_step_table():
     command = next(a for a in build_parser()._actions if a.dest == "command")
     reduce = command.choices["reduce"]
     step = next(a for a in reduce._actions if a.dest == "step")
-    assert step.choices == [name for name, spec in STEPS.items() if spec.cli]
+    assert step.choices == [name for name, spec in STEPS.items() if offered(spec)]
     # the construction steps are reachable only through chain replay
     assert step.choices == [
         "complement-problem",
@@ -197,7 +202,7 @@ def _cli_chain_steps():
     for h in graphs_up_to(5):
         for kind in ModificationKind:
             for step in classify(h, kind).chain or ():
-                if STEPS[step.step].cli:
+                if offered(STEPS[step.step]):
                     steps.setdefault(json.dumps(step.to_obj()), step)
     case1 = chain_step(
         STEP_SPARSE_CASE1, {}, join(null_graph(2), null_graph(3)), ModificationKind.DELETION

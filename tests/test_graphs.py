@@ -28,7 +28,6 @@ from hfree.graphs import (
     is_forest,
     is_induced_copy_free,
     is_regular,
-    isomorphism_extending,
     join,
     null_graph,
     path,
@@ -239,15 +238,6 @@ def test_automorphism_counts():
     assert automorphism_count(complete(4)) == 24
     assert automorphism_count(cycle(5)) == 10
     assert automorphism_count(diamond()) == 4
-
-
-def test_isomorphism_extending_forced():
-    p = path(3)
-    q = graph_from_edges(3, [(0, 2), (2, 1)])
-    full = isomorphism_extending(p, q, {1: 2})
-    assert full is not None and full[1] == 2
-    # vertex 1 is the P3 center; forcing it onto a leaf is unsatisfiable
-    assert isomorphism_extending(p, q, {1: 0}) is None
 
 
 # ---------------------------------------------------------------- pattern copies

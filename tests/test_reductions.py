@@ -1,5 +1,6 @@
 """Instance constructions, single reduction steps, replay, and audits."""
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +119,13 @@ def test_construct_adj_adds_exactly_the_cross_branch_pairs():
     )
 
 
+def test_branch_records_list_their_base_edges_sorted():
+    _, records = construct_nonadj(path(4), 1, complete(4), [0, 1, 2])
+    assert len(records) == 8
+    for rec in records:
+        assert list(rec.base_edges) == sorted(rec.base_edges)
+
+
 def test_construct_rejects_bad_v_prime():
     with pytest.raises(ValueError):
         construct_nonadj(complete(2), 1, diamond(), [0, 9])
@@ -191,6 +199,26 @@ def test_audit_flags_missing_branch_edge():
         complete(2), 1, diamond(), vp, tampered, records, False
     )
     assert problems
+
+
+def test_audit_checks_the_map_each_record_names():
+    # reversing a record's branch vertices keeps its vertex and edge sets,
+    # and a copy of P4 on them extends its base, but the record's own map
+    # (the other pattern vertices in ascending order) is no copy
+    h, vp = path(4), [0]
+    out, records = construct_nonadj(path(3), 1, h, vp)
+    assert audit_branch_construction(path(3), 1, h, vp, out, records, False) == []
+    swapped = replace(records[0], branch_vertices=records[0].branch_vertices[::-1])
+    problems = audit_branch_construction(
+        path(3), 1, h, vp, out, [swapped] + records[1:], False
+    )
+    assert problems == ["record 0: branch union is not a copy of the pattern"]
+    # a record that names one branch vertex three times has no bijective map
+    repeated = replace(records[0], branch_vertices=records[0].branch_vertices[:1] * 3)
+    problems = audit_branch_construction(
+        path(3), 1, h, vp, out, [repeated] + records[1:], False
+    )
+    assert "record 0: its map is not a bijection onto its vertices" in problems
 
 
 def test_audit_flags_wrong_vertex_count():

@@ -62,15 +62,13 @@ def test_adjacency_helpers_match_networkx(g):
             assert g.has_edge(u, v) == ref.has_edge(u, v)
 
 
-def least_embedding(host: Graph, pattern: Graph, forced=None):
-    """The least of GraphMatcher's induced embeddings pattern -> host that
-    extend `forced`, keyed by the images along the pattern's search order,
-    or None."""
+def least_embedding(host: Graph, pattern: Graph):
+    """The least of GraphMatcher's induced embeddings pattern -> host,
+    keyed by the images along the pattern's search order, or None."""
     # GraphMatcher maps host -> pattern; invert to pattern -> host
     matcher = GraphMatcher(to_nx(host), to_nx(pattern))
     maps = ({p: h for h, p in m.items()} for m in matcher.subgraph_isomorphisms_iter())
-    pinned = (m for m in maps if all(m[v] == w for v, w in (forced or {}).items()))
-    return min(pinned, key=lambda m: [m[v] for v in pattern.search_order], default=None)
+    return min(maps, key=lambda m: [m[v] for v in pattern.search_order], default=None)
 
 
 # The search returns one embedding, the least along the search order; twin
@@ -80,15 +78,6 @@ def least_embedding(host: Graph, pattern: Graph, forced=None):
 @given(graphs(0, 7), graphs(1, 4))
 def test_embeddings_match_networkx(host, pattern):
     assert find_induced_embedding(host, pattern) == least_embedding(host, pattern)
-
-
-@settings(max_examples=300, deadline=None)
-@given(graphs(1, 7), graphs(1, 4), st.data())
-def test_forced_embeddings_filter_the_unpinned_ones(host, pattern, data):
-    pinned = data.draw(st.lists(st.sampled_from(range(pattern.n)), unique=True))
-    forced = {v: data.draw(st.integers(0, host.n - 1)) for v in pinned}
-    got = find_induced_embedding(host, pattern, forced)
-    assert got == least_embedding(host, pattern, forced)
 
 
 def relabelled(g: Graph, perm) -> Graph:
