@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -28,6 +27,28 @@ Edge = tuple[int, int]
 # complement took about twice as long, complementing the host and the
 # pattern included, as searched directly.
 DENSE_MIN_VERTICES = 8
+
+
+class cached:
+    """A value derived from an instance on first read and stored in its
+    `__dict__` under the same name, where later reads find it first, as
+    `functools.cached_property` does but without the lock that one takes
+    on every first read (Python 3.11).  Two threads reading at once may
+    both derive the value; every derivation here is pure, so both store
+    equal values."""
+
+    def __init__(self, func: Callable[[Any], Any]) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def edge(u: int, v: int) -> Edge:
@@ -65,19 +86,19 @@ class Graph:
         g.__dict__.update(n=n, masks=tuple(masks))
         return g
 
-    @cached_property
+    @cached
     def edges(self) -> frozenset[Edge]:
         return frozenset((u, v) for v in self.vertices for u in bits(self.masks[v] & (1 << v) - 1))
 
-    @cached_property
+    @cached
     def m(self) -> int:
-        return sum(mask.bit_count() for mask in self.masks) // 2
+        return sum(map(int.bit_count, self.masks)) // 2
 
     @property
     def vertices(self) -> range:
         return range(self.n)
 
-    @cached_property
+    @cached
     def search_order(self) -> tuple[int, ...]:
         """Static vertex order for embedding this graph as a pattern: most
         constrained first, preferring vertices with many already placed
@@ -94,7 +115,7 @@ class Graph:
             placed |= 1 << best
         return tuple(order)
 
-    @cached_property
+    @cached
     def search_plan(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...]:
         """Per position of `search_order`: the earlier positions adjacent to
         it in this graph, the earlier positions not adjacent to it, its
@@ -113,9 +134,9 @@ class Graph:
             plan.append((adjacent, apart, self.degree(v), twin))
         return tuple(plan)
 
-    @cached_property
+    @cached
     def degrees(self) -> tuple[int, ...]:
-        return tuple(m.bit_count() for m in self.masks)
+        return tuple(map(int.bit_count, self.masks))
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
@@ -171,19 +192,38 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]
     Returns the subgraph together with the old-to-new vertex map.
     """
     keep = sorted(set(vs))
+    relabel = {}
+    new_bit = {}  # the bit of each kept vertex -> its bit in the subgraph
+    inside = 0
+    for new, old in enumerate(keep):
+        if not 0 <= old < g.n:
+            raise ValueError(f"vertex {old} outside range(0, {g.n})")
+        relabel[old] = new
+        new_bit[1 << old] = 1 << new
+        inside |= 1 << old
+    masks = g.masks
+    kept = []
     for v in keep:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside range(0, {g.n})")
-    relabel = {old: new for new, old in enumerate(keep)}
-    inside = sum(1 << v for v in keep)
-    kept = (sum(1 << relabel[u] for u in bits(g.masks[v] & inside)) for v in keep)
+        rest = masks[v] & inside
+        mask = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            mask |= new_bit[low]
+        kept.append(mask)
     return Graph.from_masks(len(keep), kept), relabel
 
 
 def edges_within(g: Graph, vs: Collection[int]) -> int:
     """The edge count of g[vs], without building it."""
-    inside = sum(1 << v for v in vs)
-    return sum((g.masks[v] & inside).bit_count() for v in vs) // 2
+    inside = 0
+    for v in vs:
+        inside |= 1 << v
+    masks = g.masks
+    count = 0
+    for v in vs:
+        count += (masks[v] & inside).bit_count()
+    return count // 2
 
 
 def _toggled(g: Graph, deletions: Iterable[Edge], completions: Iterable[Edge]) -> Graph:
@@ -349,7 +389,6 @@ def _first_embedding(host: Graph | Host, pattern: Graph) -> list[int] | None:
         return None
     if size == 0:
         return []
-    order = pattern.search_order
     plan = pattern.search_plan
     masks = host.masks
     assigned = [-1] * size

@@ -30,7 +30,6 @@ than three quarters of its pairs as edges in the complement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from math import comb, perm
 from typing import Any, Callable
 
@@ -41,6 +40,7 @@ from .graphs import (
     are_isomorphic,
     automorphism_count,
     bits,
+    cached,
     complement,
     edge,
     edges_within,
@@ -210,7 +210,7 @@ class BranchScaffold:
         if joined:
             self.m += comb(branches * outside, 2) - branches * comb(outside, 2)
 
-    @cached_property
+    @cached
     def parts(self) -> tuple[Graph, tuple[BranchRecord, ...]]:
         """The scaffold's edges, as a graph, and its branch records in placement order."""
         h, old_to_new = self.h, self.old_to_new
@@ -721,12 +721,16 @@ def audit_branch_construction(
     for i, rec in enumerate(records):
         own = set(rec.branch_vertices)
         allowed = set(rec.base_vertices) | own
+        named = allowed.union(*rec.branch_edges)
+        missing = sorted(v for v in named if not 0 <= v < out.n)
+        for v in missing:
+            problems.append(f"record {i}: vertex {v} outside the output")
         for a, b in rec.branch_edges:
             if a not in allowed or b not in allowed:
                 problems.append(f"record {i}: branch edge {a, b} leaves the branch")
             if a not in own and b not in own:
                 problems.append(f"record {i}: branch edge {a, b} misses the branch")
-            if not out.has_edge(a, b):
+            if not missing and not out.has_edge(a, b):
                 problems.append(f"record {i}: branch edge {a, b} absent from output")
         # the record's own map of the pattern (see BranchRecord)
         f = dict(rec.base_embedding)
@@ -735,6 +739,8 @@ def audit_branch_construction(
             problems.append(f"record {i}: its map is not a bijection onto its vertices")
         elif {edge(f[a], f[b]) for a, b in h.edges} != set(rec.base_edges) | set(rec.branch_edges):
             problems.append(f"record {i}: branch union is not a copy of the pattern")
+        if missing:
+            continue  # the output's adjacency cannot be read at these vertices
         for bv in rec.branch_vertices:
             stray = set(bits(out.masks[bv])) - allowed
             cross = stray & all_branch_vertices

@@ -96,9 +96,10 @@ def solve_bruteforce(g: Graph, k: int, h: Graph, kind: ModificationKind) -> Solv
 
     The number of candidate sets is computed up front and compared against
     the cap (HFREE_BRUTE_CAP overrides the default); an oversized space is
-    refused outright rather than answered heuristically.  Each candidate is
-    a Host of g's neighbour masks with both bits of each of its pairs
-    flipped; no graph is built for it.
+    refused outright rather than answered heuristically.  One Host holds a
+    copy of g's neighbour masks: each candidate flips both bits of each of
+    its pairs, is tested, and flips them back, so no graph or mask list is
+    built for it.
     """
     if k < 0:
         raise ValueError(f"budget must be non-negative, got {k}")
@@ -110,20 +111,24 @@ def solve_bruteforce(g: Graph, k: int, h: Graph, kind: ModificationKind) -> Solv
         raise BruteForceCapExceeded(
             f"{space} candidate edit sets exceed the cap of {cap}"
         )
+    masks = list(g.masks)
+    host = Host(g.n, masks)
     nodes = 0
     for size in range(depth + 1):
         for combo in combinations(pairs, size):
             nodes += 1
-            masks = list(g.masks)
             for u, v in combo:
                 masks[u] ^= 1 << v
                 masks[v] ^= 1 << u
-            if is_induced_copy_free(Host(g.n, masks), h):
+            if is_induced_copy_free(host, h):
                 return SolveResult(
                     answer=True,
                     witness=_split_edits(g, combo),
                     stats=SolveStats(nodes=nodes, copies_found=0),
                 )
+            for u, v in combo:
+                masks[u] ^= 1 << v
+                masks[v] ^= 1 << u
     return SolveResult(answer=False, witness=None, stats=SolveStats(nodes, 0))
 
 

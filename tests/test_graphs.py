@@ -1,4 +1,5 @@
 """Core graph type, families, and induced-subgraph machinery."""
+import dataclasses
 import itertools
 import math
 import pickle
@@ -12,6 +13,7 @@ from hfree.graphs import (
     apply_edits,
     are_isomorphic,
     automorphism_count,
+    cached,
     complement,
     complete,
     connected_components,
@@ -70,6 +72,39 @@ def test_degrees_and_m():
     assert complete(5).m == 10
 
 
+def test_cached_values_are_derived_once_per_instance():
+    class Counted:
+        def __init__(self, x):
+            self.x, self.calls = x, 0
+
+        @cached
+        def double(self):
+            self.calls += 1
+            return 2 * self.x
+
+    a, b = Counted(1), Counted(5)
+    assert (a.double, a.double, b.double) == (2, 2, 10)
+    assert (a.calls, b.calls) == (1, 1)
+    assert a.__dict__["double"] == 2
+    g = path(4)
+    assert "m" not in g.__dict__
+    assert g.m == 3 and g.__dict__["m"] == 3
+
+
+def test_cached_values_leave_the_graph_value_alone():
+    assert isinstance(Graph.edges, cached) and Graph.edges is Graph.__dict__["edges"]
+    assert Graph.edges.func(path(3)) == frozenset({(0, 1), (1, 2)})
+    g, fresh = cycle(5), cycle(5)
+    derived = (g.edges, g.m, g.degrees, g.search_order, g.search_plan)
+    assert g == fresh and hash(g) == hash(fresh)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == fresh and hash(copy) == hash(fresh)
+    assert (copy.edges, copy.m, copy.degrees, copy.search_order, copy.search_plan) == derived
+    for name, value in (("n", 3), ("m", 7)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, value)
+
+
 def test_complement_k3_is_null():
     assert complement(complete(3)).edges == frozenset()
     assert complement(complete(3)).n == 3
@@ -113,6 +148,24 @@ def test_induced_subgraph_c5_consecutive():
         vs = [(start + i) % 5 for i in range(4)]
         sub, _ = induced_subgraph(c5, vs)
         assert are_isomorphic(sub, path(4))
+
+
+def test_induced_subgraph_matches_the_edge_set_exhaustive():
+    for g in graphs_up_to(6):
+        for size in range(g.n + 1):
+            for vs in itertools.combinations(g.vertices, size):
+                relabel = {old: new for new, old in enumerate(vs)}
+                kept = [(relabel[u], relabel[v]) for u, v in g.edges if u in relabel and v in relabel]
+                assert induced_subgraph(g, vs) == (Graph(size, kept), relabel)
+
+
+def test_induced_subgraph_takes_duplicates_and_refuses_strangers():
+    sub, relabel = induced_subgraph(path(4), [3, 0, 2, 3, 0])
+    assert sub == graph_from_edges(3, [(1, 2)])
+    assert relabel == {0: 0, 2: 1, 3: 2}
+    for vs in ([0, 4], [-1, 0]):
+        with pytest.raises(ValueError, match="outside range"):
+            induced_subgraph(path(4), vs)
 
 
 def test_edges_within_counts_the_induced_subgraph():

@@ -221,6 +221,17 @@ def test_audit_checks_the_map_each_record_names():
     assert "record 0: its map is not a bijection onto its vertices" in problems
 
 
+def test_audit_reports_record_vertices_outside_the_output():
+    h, vp = path(4), [0]
+    out, records = construct_nonadj(path(3), 1, h, vp)
+    stray = replace(records[0], branch_vertices=(999,) + records[0].branch_vertices[1:])
+    problems = audit_branch_construction(path(3), 1, h, vp, out, [stray] + records[1:], False)
+    assert problems[0] == "record 0: vertex 999 outside the output"
+    # the record's edge lists and map are still checked, its adjacency is not
+    assert "record 0: branch union is not a copy of the pattern" in problems
+    assert all(p.startswith("record 0: ") and "neighbors" not in p for p in problems)
+
+
 def test_audit_flags_wrong_vertex_count():
     out, records = construct_tdiamond(complete(2), 1)
     problems = audit_clique_construction(complete(2), 2, out, records)

@@ -172,6 +172,26 @@ def test_brute_force_builds_no_graph_per_candidate(monkeypatch):
     assert len(searched) == r.stats.nodes
 
 
+def test_brute_force_tests_each_candidate_on_g_with_only_its_pairs_flipped(monkeypatch):
+    seen = []
+    free = solve.is_induced_copy_free
+
+    def recorded(host, pattern):
+        seen.append(Graph.from_masks(host.n, host.masks))
+        return free(host, pattern)
+
+    monkeypatch.setattr(solve, "is_induced_copy_free", recorded)
+    # P4 is a yes at its third candidate, deleting the middle edge; K6 a no
+    for g, h, answer, nodes in ((path(4), path(3), True, 3), (complete(6), complete(3), False, 16)):
+        before = g.masks
+        seen.clear()
+        r = solve_bruteforce(g, 1, h, DEL)
+        assert (r.answer, r.stats.nodes, len(seen)) == (answer, nodes, nodes)
+        candidates = [()] + [(e,) for e in sorted(g.edges)]
+        assert seen == [delete_edges(g, c) for c in candidates[: len(seen)]]
+        assert g.masks == before
+
+
 def test_pairs_outside_the_vertex_range_are_refused():
     g = path(3)
     for pair in ((-1, 1), (0, 3)):
