@@ -231,6 +231,8 @@ class BaseProblem:
 
 
 def _largest_component_regular_or_tree(g: Graph) -> bool:
+    if is_regular(g) or is_forest(g):
+        return True  # every component is regular, or a tree
     comps = connected_components(g)
     top = max(len(c) for c in comps)
     for comp in comps:

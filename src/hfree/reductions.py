@@ -4,9 +4,9 @@ Each operation takes a concrete instance of a smaller pattern's problem and
 produces an instance of a bigger pattern's problem with the same budget k.
 STEPS maps every step name to the source problem it reduces from and the
 build that runs it.  Every step runs from its record: `chain_step` derives
-it from the table (classify builds its chains this way), and one executor
-checks the instance against the step's source problem once and builds the
-target; chain replay (`apply_step`) and `hfree reduce` (`reduce_instance`)
+it from the table (classify builds its chains this way), with the branch
+plan that its runs read, and one executor checks the instance against the
+step's source problem once and builds the target; chain replay (`apply_step`) and `hfree reduce` (`reduce_instance`)
 both go through it.  Only `reduce_instance` returns a ReductionStep
 describing what happened (including per-copy branch or clique records, so
 the output can be audited structurally); a build keeps its raw records, and
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import comb, perm
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .formats import graph_to_obj
 from .graphs import (
@@ -86,7 +86,12 @@ class ReductionStep:
     when `reduce_instance` applies the step to an instance.  `scaffolds`
     keeps the branch scaffolds that the step's runs have built, those of
     its complement hops included, for its later runs on hosts of the same
-    size and budget; it is not part of the step's value.
+    size and budget.  `plan`, set on the steps that attach branches, is how
+    they run (see _Branches): `chain_step` passes the plan it derived the
+    source from, and a step built without one derives it here, once, from
+    its target and params.  `dataclasses.replace` carries the plan over, so
+    a copy with another target or other params must be given `plan=None`.
+    Neither field is part of the step's value.
     """
 
     step: str
@@ -99,9 +104,12 @@ class ReductionStep:
     scaffolds: dict[tuple, BranchScaffold] = field(
         default_factory=dict, compare=False, repr=False
     )
+    plan: _Branches | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        _spec(self.step, self.params)
+        derive = _spec(self.step, self.params).plan
+        if self.plan is None and derive is not None:
+            object.__setattr__(self, "plan", derive(self.target_h, self.target_kind, self.params))
 
     def to_obj(self, *, include_endpoints: bool = True) -> dict[str, Any]:
         obj: dict[str, Any] = {
@@ -276,7 +284,7 @@ def _attach_branches(
     vp = sorted(set(v_prime))
     if not vp:
         raise ValueError("v_prime must name at least one pattern vertex")
-    if any(v not in h.vertices for v in vp):
+    if vp[0] < 0 or vp[-1] >= h.n:
         raise ValueError(f"v_prime {vp} is not a subset of the pattern's vertices")
     if k < 1:
         raise ValueError(f"budget must be at least 1, got {k}")
@@ -366,13 +374,12 @@ def _capped_complement(g: Graph) -> Graph:
     return complement(g)
 
 
-@dataclass(frozen=True)
-class _Branches:
+class _Branches(NamedTuple):
     """How a branch step reduces the problem for h[v_prime] to the one for h,
     keeping the kind: the params the step records, and the construction,
     which is construct_adj when `joined`, construct_nonadj otherwise, or,
     with `inner` set, that (step, params) run on the complement pattern
-    between two complement hops."""
+    between two complement hops; the inner step keeps the same V'."""
 
     v_prime: list[int]
     params: dict[str, Any]
@@ -476,21 +483,24 @@ def _given_branches(joined: bool):
 
 @dataclass(frozen=True)
 class StepSpec:
-    """One kind of step.  `source(h, kind, params)` derives the source
+    """One kind of step.  `source(h, kind, params, plan)` derives the source
     problem, which the step reduces to (h, kind): it returns the source
     pattern, the source kind and the params the step records, and raises
-    ValueError where the step does not apply.  `build(step, inst)` builds,
-    from an instance of the step's source problem, the host of the target
-    instance, and returns it with a function that serializes the execution
-    metadata from the build's raw records; only `reduce_instance` calls
-    that function.  The build trusts the instance to match the step.
+    ValueError where the step does not apply.  `plan(h, kind, params)`, set
+    on the steps that attach branches, derives their _Branches, which is
+    handed to `source` (None elsewhere) and kept on the step.  `build(step,
+    inst)` builds, from an instance of the step's source problem, the host
+    of the target instance, and returns it with a function that serializes
+    the execution metadata from the build's raw records; only
+    `reduce_instance` calls that function.  The build trusts the instance
+    to match the step, and reads the step's plan instead of deriving one.
     `params` names the step params they read.  `target(h, kind, params)`,
     set only on the steps that derive their target problem from the
     instance's (h, kind), returns that target; the other steps are told
     their target pattern."""
 
     source: Callable[
-        [Graph, ModificationKind, dict[str, Any]],
+        [Graph, ModificationKind, dict[str, Any], _Branches | None],
         tuple[Graph, ModificationKind, dict[str, Any]],
     ]
     build: Callable[[ReductionStep, Instance], tuple[Graph, Metadata]]
@@ -498,6 +508,7 @@ class StepSpec:
     target: Callable[
         [Graph, ModificationKind, dict[str, Any]], tuple[Graph, ModificationKind]
     ] | None = None
+    plan: Callable[[Graph, ModificationKind, dict[str, Any]], _Branches] | None = None
 
 
 def _through_complement(
@@ -522,29 +533,36 @@ def _through_complement(
     return inst.g, lambda: {"composite": [_executed(*run).to_obj() for run in runs]}
 
 
+def _branch_source(h, kind: ModificationKind, params: dict[str, Any], plan: _Branches):
+    return induced_subgraph(h, plan.v_prime)[0], kind, plan.params
+
+
+def _branch_build(step: ReductionStep, inst: Instance) -> tuple[Graph, Metadata]:
+    """Attach the branches of the step's plan to the host.  A composite
+    whose host is smaller than V' passes it through at once: its inner
+    step places nothing, and complement, identity, complement is the
+    identity.  Its hops are then derived and run only if the metadata is
+    serialized, which lists them as they ran."""
+    plan = step.plan
+    if plan.inner is not None:
+        if inst.g.n < len(plan.v_prime):
+            return inst.g, lambda: _through_complement(step, inst, *plan.inner)[1]()
+        return _through_complement(step, inst, *plan.inner)
+    construct = construct_adj if plan.joined else construct_nonadj
+    g, records = construct(inst.g, inst.k, step.target_h, plan.v_prime, step.scaffolds)
+    return g, lambda: {"branch_records": [r.to_obj() for r in records]}
+
+
 def _branch_step(
     branches: Callable[[Graph, ModificationKind, dict[str, Any]], _Branches],
     **fields: Any,
 ) -> StepSpec:
     """The spec of a step that reduces from h[V'] by attaching branches, with
-    `branches` giving V' and the construction."""
-
-    def source(h, kind, params):
-        b = branches(h, kind, params)
-        return induced_subgraph(h, b.v_prime)[0], kind, b.params
-
-    def build(step, inst):
-        b = branches(step.target_h, step.target_kind, step.params)
-        if b.inner is not None:
-            return _through_complement(step, inst, *b.inner)
-        construct = construct_adj if b.joined else construct_nonadj
-        g, records = construct(inst.g, inst.k, step.target_h, b.v_prime, step.scaffolds)
-        return g, lambda: {"branch_records": [r.to_obj() for r in records]}
-
-    return StepSpec(source, build, **fields)
+    `branches` deriving its plan: V' and the construction."""
+    return StepSpec(_branch_source, _branch_build, plan=branches, **fields)
 
 
-def _tdiamond_source(h, kind: ModificationKind, params: dict[str, Any]):
+def _tdiamond_source(h, kind: ModificationKind, params: dict[str, Any], plan: None):
     t = params["t"]
     if t < 3:
         raise ValueError(f"induction needs t >= 3, got {t}")
@@ -561,7 +579,7 @@ def _tdiamond_build(step: ReductionStep, inst: Instance) -> tuple[Graph, Metadat
 # so each call goes through the module's current attributes.
 STEPS: dict[str, StepSpec] = {
     STEP_COMPLEMENT: StepSpec(
-        lambda h, kind, p: (_capped_complement(h), kind.flipped(), {}),
+        lambda h, kind, p, plan: (_capped_complement(h), kind.flipped(), {}),
         lambda step, inst: (_capped_complement(inst.g), dict),
         target=lambda h, kind, p: (_capped_complement(h), kind.flipped()),
     ),
@@ -595,9 +613,11 @@ def chain_step(
     name: str, params: dict[str, Any], h: Graph, kind: ModificationKind
 ) -> ReductionStep:
     """The unexecuted step `name` into the problem (h, kind), with its
-    source problem and recorded params as STEPS derives them."""
-    source_h, source_kind, recorded = _spec(name, params).source(h, kind, params)
-    return ReductionStep(name, recorded, source_h, source_kind, h, kind)
+    source problem, recorded params and plan as STEPS derives them."""
+    spec = _spec(name, params)
+    plan = None if spec.plan is None else spec.plan(h, kind, params)
+    source_h, source_kind, recorded = spec.source(h, kind, params, plan)
+    return ReductionStep(name, recorded, source_h, source_kind, h, kind, plan=plan)
 
 
 def _run_step(step: ReductionStep, inst: Instance) -> tuple[Instance, Metadata]:
@@ -716,7 +736,8 @@ def audit_branch_construction(
     original, _ = induced_subgraph(out, range(g_prime.n))
     if original != g_prime:
         problems.append("adjacency among original vertices changed")
-    all_branch_vertices = {bv for rec in records for bv in rec.branch_vertices}
+    # the vertex count above fixes the branch vertices as those after the host's
+    all_branch_vertices = set(range(g_prime.n, out.n))
     max_outside_degree = max((h.degree(x) for x in outside), default=0)
     for i, rec in enumerate(records):
         own = set(rec.branch_vertices)

@@ -202,26 +202,28 @@ def _check_churn_steps(g: Graph, steps, terminal: Graph) -> list[str]:
     violations = []
     prev = g
     for i, cs in enumerate(steps):
-        if cs.before != prev:
+        before, after, kind, degree = cs.before, cs.after, cs.kind, cs.degree
+        if before != prev:
             violations.append(f"{serialize_graph6(g)}: step {i} input mismatch")
-        if cs.kind == CHURN_COMPLEMENT:
-            if cs.degree is not None or cs.after != complement(cs.before):
+        if kind == CHURN_COMPLEMENT:
+            if degree is not None or after != complement(before):
                 violations.append(f"{serialize_graph6(g)}: step {i} bad toggle")
-        elif cs.kind in (CHURN_DELETE_MIN, CHURN_DELETE_MAX):
-            if cs.kind == CHURN_DELETE_MIN:
-                if cs.degree != min(cs.before.degrees):
+        elif kind in (CHURN_DELETE_MIN, CHURN_DELETE_MAX):
+            degrees = before.degrees
+            if kind == CHURN_DELETE_MIN:
+                if degree != min(degrees):
                     violations.append(f"{serialize_graph6(g)}: step {i} wrong degree")
-                keep = [v for v in cs.before.vertices if cs.before.degree(v) > cs.degree]
+                keep = [v for v, d in enumerate(degrees) if d > degree]
             else:
-                if cs.degree != max(cs.before.degrees):
+                if degree != max(degrees):
                     violations.append(f"{serialize_graph6(g)}: step {i} wrong degree")
-                keep = [v for v in cs.before.vertices if cs.before.degree(v) < cs.degree]
-            expect, _ = induced_subgraph(cs.before, keep)
-            if cs.after != expect:
+                keep = [v for v, d in enumerate(degrees) if d < degree]
+            expect, _ = induced_subgraph(before, keep)
+            if after != expect:
                 violations.append(f"{serialize_graph6(g)}: step {i} bad strip")
         else:
-            violations.append(f"{serialize_graph6(g)}: step {i} unknown kind {cs.kind}")
-        prev = cs.after
+            violations.append(f"{serialize_graph6(g)}: step {i} unknown kind {kind}")
+        prev = after
     if prev != terminal:
         violations.append(f"{serialize_graph6(g)}: terminal mismatch")
     return violations
@@ -233,6 +235,7 @@ def run_churn_suite(n_cap: int) -> dict[str, Any]:
     violations: list[str] = []
     editing_checked = 0
     deletion_checked = 0
+    p3, p4, diamond = path(3), path(4), t_diamond(2)
     for g in graphs_up_to(n_cap):
         if g.n >= 3:
             editing_checked += 1
@@ -240,9 +243,9 @@ def run_churn_suite(n_cap: int) -> dict[str, Any]:
             violations.extend(_check_churn_steps(g, steps, terminal))
             ok = (
                 is_regular(terminal)
-                or are_isomorphic(terminal, path(3))
-                or are_isomorphic(terminal, path(4))
-                or are_isomorphic(terminal, t_diamond(2))
+                or are_isomorphic(terminal, p3)
+                or are_isomorphic(terminal, p4)
+                or are_isomorphic(terminal, diamond)
             )
             if not ok or terminal.n < 3:
                 violations.append(
@@ -297,6 +300,7 @@ def run_classify_suite(n_cap: int) -> dict[str, Any]:
     def flag(h: Graph, kind: ModificationKind, problem: str) -> None:
         violations.append(f"{serialize_graph6(h)}/{kind.value}: {problem}")
 
+    singleton = null_graph(1)
     for h in graphs_up_to(n_cap):
         for kind in ModificationKind:
             expected, reason = _expected_verdict(h, kind)
@@ -320,9 +324,7 @@ def run_classify_suite(n_cap: int) -> dict[str, Any]:
             for i in range(len(got.chain) - 1):
                 if got.chain[i].source_h != got.chain[i + 1].target_h:
                     flag(h, kind, f"chain breaks at index {i}")
-            seed = Instance(
-                g=null_graph(1), k=1, h=got.base.graph, kind=got.base.kind
-            )
+            seed = Instance(g=singleton, k=1, h=got.base.graph, kind=got.base.kind)
             try:
                 replayed = replay_chain(got.chain, seed)
             except ContractViolationError as exc:

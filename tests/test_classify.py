@@ -41,6 +41,8 @@ from hfree.problems import (
     BASE_P3_DELETION,
     BASE_P3_EDITING,
     BASE_REGULAR_EDITING,
+    BASE_TREE_OR_REGULAR_DELETION,
+    ANCHORS,
     ModificationKind,
     STEP_COMPLEMENT,
     STEP_TDIAMOND,
@@ -338,6 +340,41 @@ def test_every_base_premise_holds_small():
             if c.base.name in checks:
                 assert checks[c.base.name](c.base.graph)
     assert BASE_DIAMOND_DELETION in seen and BASE_REGULAR_EDITING in seen
+
+
+def test_tree_or_regular_premise_matches_a_component_reference():
+    # the premise answers at once on a regular graph or a forest; the
+    # reference reads the largest components one by one, from the edges
+    _, premise = ANCHORS[BASE_TREE_OR_REGULAR_DELETION]
+
+    def reference(g):
+        comps, unseen = [], set(g.vertices)
+        while unseen:
+            comp, todo = set(), [min(unseen)]
+            while todo:
+                v = todo.pop()
+                if v not in comp:
+                    comp.add(v)
+                    todo += [b if a == v else a for a, b in g.edges if v in (a, b)]
+            comps.append(comp)
+            unseen -= comp
+        top = max(map(len, comps))
+        for comp in (c for c in comps if len(c) == top):
+            inside = [e for e in g.edges if e[0] in comp]
+            degrees = {sum(v in e for e in inside) for v in comp}
+            if len(degrees) == 1 or len(inside) == len(comp) - 1:
+                return True
+        return False
+
+    answers = {}
+    for g in graphs_up_to(7):
+        if g.m >= 2:
+            want = reference(g)
+            assert premise(g) == want, serialize_graph6(g)
+            shortcut = is_regular(g) or is_forest(g)
+            answers[shortcut, want] = answers.get((shortcut, want), 0) + 1
+    # both answers are seen off the shortcut, and the shortcut never says no
+    assert set(answers) == {(True, True), (False, True), (False, False)}
 
 
 # sha256 over every verdict, chain (with step endpoints) and churn trace of

@@ -175,6 +175,100 @@ def test_steps_keep_their_scaffolds_across_hosts_and_hops():
     assert len(step.scaffolds) == 1
 
 
+# ---------------------------------------------------------------- step plans
+
+
+def _composites():
+    """The two composite steps, each with its V' size and the inner step it
+    runs on the complement pattern: the bowtie's max-side strip keeps its
+    four degree-2 vertices, and the sparse-vh route keeps 7 of 8."""
+    w = find_sparse_witness(1, 0, exclude_t_diamond=True)
+    vh = chain_step(STEP_SPARSE_VH, {}, w, DEL)
+    return [
+        (
+            chain_step(STEP_DEGREE, {"d": 4, "variant": "max"}, bowtie(), DEL),
+            4,
+            (STEP_DEGREE, {"d": 0, "variant": "min"}),
+        ),
+        (vh, 7, (STEP_CONSTRUCT_NONADJ, {"v_prime": [0, 1, 3, 4, 5, 6, 7]})),
+    ]
+
+
+def test_hand_built_and_replaced_steps_build_as_the_chain_step():
+    # each step on a host below |V'| and one of |V'| or more
+    cases = [(step, [path(size - 1), path(size)]) for step, size, _ in _composites()]
+    adj = chain_step(STEP_CONSTRUCT_ADJ, {"v_prime": diamond_high_pair()}, diamond(), DEL)
+    cases.append((adj, [null_graph(1), path(3)]))
+    for step, hosts in cases:
+        hand = ReductionStep(
+            step=step.step,
+            params=step.params,
+            source_h=step.source_h,
+            source_kind=step.source_kind,
+            target_h=step.target_h,
+            target_kind=step.target_kind,
+        )
+        copy = replace(step, scaffolds={})
+        assert hand.plan == step.plan and copy.plan is step.plan
+        for g in hosts:
+            inst = Instance(g=g, k=1, h=step.source_h, kind=step.source_kind)
+            builds = set()
+            for s in (step, hand, copy):
+                out, metadata = reductions._execute_step(s, inst)
+                builds.add((out, json.dumps(metadata())))
+            assert len(builds) == 1, step.step
+            assert (out.g == g) == (g.n < len(step.plan.v_prime)), step.step
+
+
+def test_replaying_a_classify_chain_derives_no_plan(monkeypatch):
+    chains = [build_chain(h, kind) for h, kind in HARD_PROBLEMS]
+    assert any(s.plan and s.plan.inner for chain, _ in chains for s in chain)
+    derived = []
+    for name, spec in STEPS.items():
+        if spec.plan is not None:
+
+            def counted(h, kind, params, plan=spec.plan):
+                derived.append(h)
+                return plan(h, kind, params)
+
+            monkeypatch.setitem(STEPS, name, replace(spec, plan=counted))
+    for chain, base in chains:
+        replay_chain(chain, Instance(g=null_graph(1), k=1, h=base.graph, kind=base.kind))
+    assert derived == []
+    # the count is live: chain_step derives a plan, a hand-built step
+    # derives its own, and a composite that places something derives its
+    # inner hop's
+    step = chain_step(STEP_DEGREE, {"d": 4, "variant": "max"}, bowtie(), DEL)
+    ReductionStep(STEP_DEGREE, step.params, step.source_h, DEL, bowtie(), DEL)
+    assert len(derived) == 2
+    apply_step(step, Instance(g=cycle(4), k=1, h=step.source_h, kind=DEL))
+    assert len(derived) == 3
+
+
+def test_a_composite_passes_a_host_smaller_than_v_prime_through():
+    for step, size, (inner, params) in _composites():
+        for g in graphs_up_to(size - 1):
+            inst = Instance(g=g, k=1, h=step.source_h, kind=DEL)
+            out = apply_step(step, inst)
+            assert out.g == g
+            # the metadata lists the three hops as they run one by one
+            same, executed = reduce_instance(inst, step.step, step.params, step.target_h)
+            hops, mid = [], inst
+            for name, p, h in (
+                (STEP_COMPLEMENT, {}, None),
+                (inner, params, complement(step.target_h)),
+                (STEP_COMPLEMENT, {}, None),
+            ):
+                mid, hop = reduce_instance(mid, name, p, h)
+                hops.append(hop.to_obj())
+            assert same == mid == out
+            assert executed.execution.metadata == {"composite": hops}
+        assert step.scaffolds == {}
+        # a host of |V'| vertices runs the hops, so its scaffold is built
+        out = apply_step(step, Instance(g=path(size), k=1, h=step.source_h, kind=DEL))
+        assert out.g.n > size and len(step.scaffolds) == 1, step.step
+
+
 # ---------------------------------------------------------------- audits
 
 
@@ -230,6 +324,18 @@ def test_audit_reports_record_vertices_outside_the_output():
     # the record's edge lists and map are still checked, its adjacency is not
     assert "record 0: branch union is not a copy of the pattern" in problems
     assert all(p.startswith("record 0: ") and "neighbors" not in p for p in problems)
+
+
+def test_joined_audit_blames_only_the_bad_record():
+    # the branch vertices are the output's from the host's on, not those
+    # the records name, so one bad record leaves the others clean
+    h, vp = path(4), [0]
+    out, records = construct_adj(path(3), 1, h, vp)
+    assert audit_branch_construction(path(3), 1, h, vp, out, records, True) == []
+    stray = replace(records[0], branch_vertices=(999,) + records[0].branch_vertices[1:])
+    problems = audit_branch_construction(path(3), 1, h, vp, out, [stray] + records[1:], True)
+    assert problems[0] == "record 0: vertex 999 outside the output"
+    assert all(p.startswith("record 0: ") for p in problems), problems
 
 
 def test_audit_flags_wrong_vertex_count():
